@@ -20,8 +20,8 @@ from math import pi
 
 import numpy as np
 
-from .mesh import NodalField, eval_field_many
-from .transform import Spectrum, WaveSet
+from .mesh import NodalField, eval_field_many, tensor_grid
+from .transform import Spectrum, WaveSet, contract_waves
 
 __all__ = [
     "TrigGrid",
@@ -52,29 +52,16 @@ class TrigGrid:
 
     def points(self) -> np.ndarray:
         """All M^d grid points, lexicographic with axis 1 fastest: (M^d, d)."""
-        x = self.nodes_1d
-        grids = np.meshgrid(*([x] * self.d), indexing="ij")
-        return np.column_stack([grids[self.d - 1 - t].ravel() for t in range(self.d)])
-
-
-def _phase_vector(grid: TrigGrid, q) -> np.ndarray:
-    """e^{-i q.x_m} over the flattened grid, matching ``points`` order."""
-    x = grid.nodes_1d
-    vecs = [np.exp(-1j * q[t] * x) for t in range(grid.d)]
-    e = vecs[0]
-    for t in range(1, grid.d):
-        e = np.multiply.outer(vecs[t], e).ravel()
-    return e
+        return tensor_grid(self.nodes_1d, self.d)
 
 
 def _cubature_values(samples: np.ndarray, grid: TrigGrid,
                      waves: WaveSet) -> Spectrum:
-    scale = 1.0 / grid.M ** grid.d
-    out = np.empty((len(waves), samples.shape[1]), dtype=complex)
-    for qi, q in enumerate(waves.qs):
-        prods = _phase_vector(grid, q)[:, None] * samples
-        out[qi] = scale * np.cumsum(prods, axis=0)[-1]
-    return Spectrum(waves, out)
+    """The grid as one M^d block: factors e^{-i q_t x_m}, weight M^{-d}."""
+    factors = [np.exp(-1j * np.multiply.outer(q_axis, grid.nodes_1d))[None]
+               for q_axis in waves.axis_index[0]]
+    weight = np.array([1.0 / grid.M ** grid.d])
+    return Spectrum(waves, contract_waves(samples[None], factors, weight, waves))
 
 
 def cubature_transform(field: NodalField, grid: TrigGrid,

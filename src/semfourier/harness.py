@@ -127,14 +127,9 @@ def spectrum_decay_profile(spectrum: Spectrum, direction,
         if all(c == 0 for c in v_dir):
             raise ValueError("direction must be nonzero")
         norm = math.sqrt(sum(c * c for c in v_dir))
-        lookup = {q: i for i, q in enumerate(spectrum.waves.qs)}
         m = 1
-        while True:
-            q = tuple(m * c for c in v_dir)
-            i = lookup.get(q)
-            if i is None:
-                break
-            pts.append((m * norm, take(mags[i])))
+        while (q := tuple(m * c for c in v_dir)) in spectrum.waves:
+            pts.append((m * norm, take(mags[spectrum.waves.index(q)])))
             m += 1
     slope = fit_loglog_slope([p[0] for p in pts], [p[1] for p in pts])
     return DecayProfile(tuple(pts), slope)

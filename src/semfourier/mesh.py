@@ -216,16 +216,8 @@ def uniform_mesh(d: int, n_per_axis: int, P: int) -> Mesh:
         raise ValueError("need at least one element per axis")
     centers = [Fraction(2 * i + 1 - n_per_axis, n_per_axis) for i in range(n_per_axis)]
     half = Fraction(1, n_per_axis)
-    elements = []
-    idx = [0] * d
-    for _ in range(n_per_axis ** d):
-        elements.append(element_from_pi([centers[i] for i in idx], [half] * d))
-        for t in range(d):
-            idx[t] += 1
-            if idx[t] < n_per_axis:
-                break
-            idx[t] = 0
-    return Mesh(d, P, elements)
+    grid = tensor_grid(np.array(centers, dtype=object), d)
+    return Mesh(d, P, [element_from_pi(a, [half] * d) for a in grid])
 
 
 def map_to_physical(element: Element, xi) -> np.ndarray:
@@ -246,10 +238,13 @@ def map_to_reference(element: Element, x) -> np.ndarray:
     return np.clip(xi, -1.0, 1.0)
 
 
-def _reference_grid(rule: GllRule, d: int) -> np.ndarray:
-    """All (P+1)^d reference nodes, lexicographic with axis 1 fastest: (nj, d)."""
-    xi = rule.nodes
-    grids = np.meshgrid(*([xi] * d), indexing="ij")
+def tensor_grid(x, d: int) -> np.ndarray:
+    """All points of the grid x^d, lexicographic with axis 1 fastest: (n^d, d).
+
+    Element nodes, uniform element centers, bisection children and
+    cubature grids all share this order.
+    """
+    grids = np.meshgrid(*([x] * d), indexing="ij")
     # C-order ravel makes the last meshgrid axis fastest, so axis alpha of
     # the point corresponds to grid d-1-alpha.
     return np.column_stack([grids[d - 1 - t].ravel() for t in range(d)])
@@ -259,7 +254,7 @@ def gll_node_positions(mesh: Mesh, rule: GllRule) -> np.ndarray:
     """Physical node positions, shape (K, (P+1)^d, d), in storage order."""
     if rule.degree != mesh.P:
         raise ValueError("rule degree does not match mesh degree")
-    ref = _reference_grid(rule, mesh.d)
+    ref = tensor_grid(rule.nodes, mesh.d)
     out = np.empty((mesh.K, ref.shape[0], mesh.d))
     for k, e in enumerate(mesh.elements):
         out[k] = e.a + e.hdiag * ref
@@ -414,14 +409,6 @@ def element_indicator(field: NodalField) -> np.ndarray:
     return out
 
 
-def _child_offsets(d: int):
-    """Sign patterns (+-1)^d for bisection children, axis 1 fastest."""
-    out = []
-    for m in range(2 ** d):
-        out.append(tuple(1 if (m >> t) & 1 else -1 for t in range(d)))
-    return out
-
-
 def refine(mesh: Mesh, flags) -> Mesh:
     """Bisect flagged elements into 2^d children (in index order).
 
@@ -443,6 +430,7 @@ def refine(mesh: Mesh, flags) -> Mesh:
     else:
         mask = np.zeros(mesh.K, dtype=bool)
         mask[flags_arr] = True
+    signs = tensor_grid([-1, 1], mesh.d).tolist()
     elements = []
     for k, e in enumerate(mesh.elements):
         if not mask[k]:
@@ -450,12 +438,12 @@ def refine(mesh: Mesh, flags) -> Mesh:
             continue
         if e.rational:
             half = [h / 2 for h in e.h_pi]
-            for sgn in _child_offsets(mesh.d):
+            for sgn in signs:
                 a = [c + s * hh for c, s, hh in zip(e.a_pi, sgn, half)]
                 elements.append(element_from_pi(a, half))
         else:
             half = 0.5 * e.hdiag
-            for sgn in _child_offsets(mesh.d):
+            for sgn in signs:
                 a = e.a + np.asarray(sgn) * half
                 elements.append(Element(a, half.copy()))
     return Mesh(mesh.d, mesh.P, elements)
@@ -560,8 +548,9 @@ def read_field(path, mesh: Mesh) -> NodalField:
             f"(d={mesh.d}, P={mesh.P}, K={mesh.K})"
         )
     count = K * (P + 1) ** d * C
-    if len(raw) - 32 < 8 * count:
-        raise ValueError("field file truncated")
+    if len(raw) - 32 != 8 * count:
+        raise ValueError(f"field file truncated or overlong: {len(raw) - 32} "
+                         f"value bytes, expected {8 * count}")
     vals = np.frombuffer(raw[32:], dtype="<f8", count=count)
     return NodalField(mesh, vals.astype(float).reshape(K, (P + 1) ** d, C))
 
@@ -586,4 +575,7 @@ def read_field_json(path, mesh: Mesh) -> NodalField:
         raise ValueError("field header does not match mesh")
     C = int(data["components"])
     vals = np.asarray(data["values"], dtype=float)
+    expect = mesh.K * mesh.nodes_per_element * C
+    if vals.shape != (expect,):
+        raise ValueError(f"field holds {vals.size} values, expected {expect}")
     return NodalField(mesh, vals.reshape(mesh.K, mesh.nodes_per_element, C))

@@ -1,20 +1,18 @@
 """Exact global Fourier coefficients of piecewise-polynomial fields.
 
 For a degree-P field on an axis-aligned box mesh of [-pi, pi]^d, the
-global Fourier coefficient at integer wavevector q of one cardinal basis
-function through node j of element k factorizes as
+global Fourier coefficient at integer wavevector q of the cardinal basis
+function through node j of element k is a product over axes,
 
-    phi_hat[j,k,q] = |det h_k| / pi^d * e^{-i q.a_k}
-                     * prod_alpha sum_p c[j_alpha, p] i^{-p} B_p(q_alpha h_alpha)
+    phi_hat[j,k,q] = |det h_k| / pi^d * prod_t F_t[k, q_t, j_t],
+    F_t[k, q_t, j] = e^{-i q_t a_{k,t}} sum_p c[j, p] i^{-p} B_p(q_t h_{k,t}),
 
 with c the Legendre coefficients of the cardinal interpolants and B_p the
-spherical Bessel column. Summing phi_hat[j,k,q] u[j,k] over nodes and
-elements in a fixed order gives u_hat_q with no quadrature error beyond
-roundoff.
-
-A TransformPlan caches the per-axis factors; distinct Bessel arguments are
-recognized exactly through the rational element geometry, so uniform and
-nested meshes share almost all columns.
+spherical Bessel column. A TransformPlan keeps one table F_t per axis over
+the distinct q_t of its wave set; Bessel arguments repeat exactly through
+the rational geometry and share columns. ``contract_waves`` sums
+phi_hat * u by sum factorization in a fixed order (axis 1, then axes
+2..d, then elements in index order), so results are reproducible to the bit.
 """
 
 from __future__ import annotations
@@ -22,6 +20,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -35,6 +34,7 @@ __all__ = [
     "Spectrum",
     "TransformPlan",
     "build_plan",
+    "contract_waves",
     "phi_hat",
     "transform",
     "rms_relative_error",
@@ -77,8 +77,27 @@ class WaveSet:
     def __len__(self) -> int:
         return len(self.qs)
 
+    @cached_property
+    def _positions(self) -> dict:
+        return {q: i for i, q in enumerate(self.qs)}
+
+    def __contains__(self, q) -> bool:
+        return tuple(q) in self._positions
+
     def index(self, q) -> int:
-        return self.qs.index(tuple(q))
+        """Position of q in the set; ValueError if q is not in it."""
+        i = self._positions.get(tuple(q))
+        if i is None:
+            raise ValueError(f"wavevector {tuple(q)} is not in the wave set")
+        return i
+
+    @cached_property
+    def axis_index(self) -> tuple[list[np.ndarray], np.ndarray]:
+        """(values, m): values[t] holds the distinct q_t in ascending order
+        and values[t][m[i, t]] == qs[i][t]; m has shape (len, d)."""
+        q = np.array(self.qs, dtype=np.int64).reshape(len(self.qs), self.d)
+        cols = [np.unique(q[:, t], return_inverse=True) for t in range(self.d)]
+        return [v for v, _ in cols], np.stack([m for _, m in cols], axis=1)
 
 
 @dataclass(frozen=True)
@@ -102,12 +121,11 @@ class Spectrum:
 
     def conjugate_symmetry_error(self) -> float:
         """Max |u_hat(-q) - conj(u_hat(q))| over pairs present in the set."""
-        lookup = {q: i for i, q in enumerate(self.waves.qs)}
         worst = 0.0
-        for q, i in lookup.items():
+        for i, q in enumerate(self.waves.qs):
             neg = tuple(-c for c in q)
-            j = lookup.get(neg)
-            if j is not None:
+            if neg in self.waves:
+                j = self.waves.index(neg)
                 gap = np.max(np.abs(self.values[j] - np.conj(self.values[i])))
                 worst = max(worst, float(gap))
         return worst
@@ -132,38 +150,61 @@ def _axis_key(element: Element, q_t: int, t: int):
     return ("f", r), r
 
 
-def _svec(table: LegendreCoeffTable, r: float, ip: np.ndarray) -> np.ndarray:
-    """Per-axis factor s[j] = sum_p c[j,p] i^{-p} B_p(r), shape (P+1,)."""
-    col = bessel_column(r, table.degree)
-    return np.einsum("jp,p->j", table.coeffs, ip * col)
+def _axis_table(elements, t: int, q_axis, table: LegendreCoeffTable,
+                memo: dict) -> np.ndarray:
+    """F[k, m, j] = e^{-i q_m a_{k,t}} sum_p c[j,p] i^{-p} B_p(q_m h_{k,t}).
 
-
-def _wave_weight(element: Element, q, d: int) -> complex:
-    """|det h| / pi^d * e^{-i q.a} with a fixed accumulation order."""
-    dot = 0.0
-    for t in range(d):
-        dot += q[t] * element.a[t]
-    return (element.det_h / math.pi ** d) * cmath.exp(-1j * dot)
-
-
-def _basis_row(weight: complex, svecs: np.ndarray) -> np.ndarray:
-    """weight * tensor product of per-axis factors, flattened storage order.
-
-    Cached and from-scratch paths both come through here: vectorized
-    complex products round differently from scalar ones in the last bit,
-    so bitwise cache consistency needs one shared kernel.
+    Shape (len(elements), len(q_axis), P+1); the Bessel sums are memoized
+    under ``_axis_key``. Entries do not depend on the table size.
     """
-    e = svecs[0]
-    for t in range(1, len(svecs)):
-        e = np.multiply.outer(svecs[t], e).ravel()
-    return weight * e
+    ip = ipow_neg(table.degree)
+    out = np.empty((len(elements), len(q_axis), table.degree + 1), dtype=complex)
+    for k, e in enumerate(elements):
+        for m, q in enumerate(q_axis):
+            key, r = _axis_key(e, q, t)
+            s = memo.get(key)
+            if s is None:
+                col = bessel_column(r, table.degree)
+                s = memo[key] = np.einsum("jp,p->j", table.coeffs, ip * col)
+            out[k, m] = cmath.exp(-1j * (q * e.a[t])) * s
+    return out
+
+
+def contract_waves(values: np.ndarray, factors, weight: np.ndarray,
+                   waves: WaveSet) -> np.ndarray:
+    """sum_k weight[k] sum_j prod_t factors[t][k, m_t(q), j_t] values[k, j].
+
+    values has shape (K, n^d, C), axis 1 fastest within a block; factors[t]
+    has shape (K, m_t, n), row m for the m-th distinct q_t of ``waves``
+    (``waves.axis_index``). Axis 1 is contracted first, then axes 2..d, once
+    per distinct wave prefix (q_1..q_t), so a wave list never grows into
+    its bounding box; the weighted blocks are then added in index order.
+    Returns shape (len(waves), C), in wave order.
+    """
+    K, _, C = values.shape
+    d, n = len(factors), factors[0].shape[2]
+    m = waves.axis_index[1]
+    # (k, j_d .. j_1, c) -> (k, j_1 .. j_d, c) behind one empty prefix
+    order = (0,) + tuple(range(d, 0, -1)) + (d + 1,)
+    G = values.reshape((K,) + (n,) * d + (C,)).transpose(order).reshape(K, 1, -1)
+    parent = np.zeros(len(waves), dtype=np.intp)
+    for t in range(d):
+        prefixes, first, inv = np.unique(m[:, : t + 1], axis=0,
+                                         return_index=True, return_inverse=True)
+        rows = G[:, parent[first]].reshape(K, len(first), n, G.shape[2] // n)
+        G = (factors[t][:, prefixes[:, t], None, :] @ rows)[:, :, 0]
+        parent = inv.reshape(-1)
+    return sum(w * g for w, g in zip(weight, G))[parent]
 
 
 class TransformPlan:
-    """Cached per-wave, per-element factors of the coefficient formula.
+    """Per-axis factor tables of the coefficient formula.
 
     Attributes:
         mesh, rule, table, waves: the inputs the plan was built for.
+        factors: per axis t, the (K, m_t, P+1) table of ``_axis_table``
+            over the distinct q_t of ``waves``.
+        weight: |det h_k| / pi^d per element, shape (K,).
         n_bessel_args: number of distinct Bessel arguments evaluated.
     """
 
@@ -177,36 +218,27 @@ class TransformPlan:
         self.rule = rule
         self.table = table
         self.waves = waves
-        nq, K, d, n1 = len(waves), mesh.K, mesh.d, mesh.P + 1
-        ip = ipow_neg(mesh.P)
-        self._weight = np.empty((nq, K), dtype=complex)
-        self._svecs = np.empty((nq, K, d, n1), dtype=complex)
         memo: dict = {}
-        for qi, q in enumerate(waves.qs):
-            for k, e in enumerate(mesh.elements):
-                self._weight[qi, k] = _wave_weight(e, q, d)
-                for t in range(d):
-                    key, r = _axis_key(e, q[t], t)
-                    s = memo.get(key)
-                    if s is None:
-                        s = _svec(table, r, ip)
-                        memo[key] = s
-                    self._svecs[qi, k, t] = s
+        self.factors = tuple(
+            _axis_table(mesh.elements, t, q_axis.tolist(), table, memo)
+            for t, q_axis in enumerate(waves.axis_index[0])
+        )
+        self.weight = np.array([e.det_h / math.pi ** mesh.d for e in mesh.elements])
         self.n_bessel_args = len(memo)
-        self._weight.setflags(write=False)
-        self._svecs.setflags(write=False)
-
-    def basis_row(self, qi: int, k: int) -> np.ndarray:
-        """phi_hat of every node of element k at wave qi, storage order."""
-        return _basis_row(self._weight[qi, k], self._svecs[qi, k])
+        for a in self.factors + (self.weight,):
+            a.setflags(write=False)
 
     def basis_coefficient(self, qi: int, k: int, j_flat: int) -> complex:
-        return complex(self.basis_row(qi, k)[j_flat])
+        """phi_hat of node j_flat (storage order) of element k at wave qi."""
+        m, n = self.waves.axis_index[1][qi], self.mesh.P + 1
+        return complex(math.prod(
+            [F[k, m[t], j_flat // n ** t % n] for t, F in enumerate(self.factors)],
+            start=complex(self.weight[k])))
 
 
 def build_plan(mesh: Mesh, rule: GllRule, table: LegendreCoeffTable,
                waves: WaveSet) -> TransformPlan:
-    """Precompute all per-axis factors for transforming fields on ``mesh``."""
+    """Precompute the per-axis factor tables for fields on ``mesh``."""
     return TransformPlan(mesh, rule, table, waves)
 
 
@@ -220,9 +252,9 @@ def phi_hat(rule: GllRule, table: LegendreCoeffTable, element: Element,
         j: node multi-index (j_1, .., j_d), or an int in 1D.
         q: integer wavevector of matching dimension.
 
-    Recomputes every factor from scratch but combines them through the
-    same kernel as the cached plan, so values agree bitwise with
-    ``TransformPlan.basis_row``.
+    Builds one-entry tables with the plan's table builder and multiplies
+    them in the same order, so values agree bitwise with
+    ``TransformPlan.basis_coefficient``.
     """
     d = element.d
     j_tup = (j,) if np.isscalar(j) else tuple(j)
@@ -231,50 +263,42 @@ def phi_hat(rule: GllRule, table: LegendreCoeffTable, element: Element,
         raise ValueError("index/wavevector dimension mismatch")
     if not all(0 <= jt <= table.degree for jt in j_tup):
         raise IndexError("node index out of range")
-    ip = ipow_neg(table.degree)
-    svecs = np.empty((d, table.degree + 1), dtype=complex)
-    for t in range(d):
-        _, r = _axis_key(element, q_tup[t], t)
-        svecs[t] = _svec(table, r, ip)
-    row = _basis_row(_wave_weight(element, q_tup, d), svecs)
-    j_flat = 0
-    for t in range(d - 1, -1, -1):
-        j_flat = j_flat * (table.degree + 1) + j_tup[t]
-    return complex(row[j_flat])
+    return complex(math.prod(
+        [_axis_table([element], t, [int(q_tup[t])], table, {})[0, 0, j_tup[t]]
+         for t in range(d)],
+        start=complex(element.det_h / math.pi ** d)))
 
 
 def transform(field: NodalField, plan: TransformPlan,
               compensated: bool = False) -> Spectrum:
     """Global Fourier coefficients of a nodal field.
 
-    Accumulation runs element-by-element in index order and node-by-node
-    in storage order, so results are reproducible to the bit. With
-    ``compensated=True`` every product enters an exactly rounded sum
-    instead (order-insensitive, for cross-checking the plain path).
+    ``contract_waves`` applies the plan's per-axis tables in a fixed order:
+    axis 1, then axes 2..d, then the weighted sum over elements in index
+    order, so results are reproducible to the bit. With
+    ``compensated=True`` every product phi_hat * u enters an exactly
+    rounded sum instead (order-insensitive, for cross-checking).
 
     Returns:
         Spectrum over ``plan.waves`` with the field's component count.
     """
     if field.mesh is not plan.mesh and field.mesh != plan.mesh:
         raise ValueError("field and plan use different meshes")
-    nq, K, C = len(plan.waves), plan.mesh.K, field.components
-    out = np.empty((nq, C), dtype=complex)
-    for qi in range(nq):
-        if compensated:
-            prods = np.concatenate(
-                [plan.basis_row(qi, k)[:, None] * field.values[k] for k in range(K)],
-                axis=0,
-            )
-            out[qi] = [
-                complex(math.fsum(prods[:, c].real), math.fsum(prods[:, c].imag))
-                for c in range(C)
-            ]
-        else:
-            acc = np.zeros(C, dtype=complex)
-            for k in range(K):
-                prods = plan.basis_row(qi, k)[:, None] * field.values[k]
-                acc = acc + np.cumsum(prods, axis=0)[-1]
-            out[qi] = acc
+    if not compensated:
+        return Spectrum(plan.waves, contract_waves(
+            field.values, plan.factors, plan.weight, plan.waves))
+    K, _, C = field.values.shape
+    out = np.empty((len(plan.waves), C), dtype=complex)
+    for qi, m in enumerate(plan.waves.axis_index[1]):
+        # phi_hat rows of wave qi for all elements, axis 1 fastest
+        rows = plan.weight[:, None] * plan.factors[0][:, m[0]]
+        for t in range(1, len(m)):
+            rows = (plan.factors[t][:, m[t], :, None] * rows[:, None, :]).reshape(K, -1)
+        prods = (rows[:, :, None] * field.values).reshape(-1, C)
+        out[qi] = [
+            complex(math.fsum(prods[:, c].real), math.fsum(prods[:, c].imag))
+            for c in range(C)
+        ]
     return Spectrum(plan.waves, out)
 
 

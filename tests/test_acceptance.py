@@ -8,12 +8,14 @@ capture suspended so they stay visible in a plain ``pytest -v`` run.
 from __future__ import annotations
 
 import math
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import semfourier
 from semfourier.bessel import bessel_column, bessel_identity_residual
 from semfourier.cases import (
     case_burgers_t,
@@ -315,9 +317,13 @@ def test_rotated_lattice_series_on_adaptively_refined_mesh():
 
 
 def _run_cli(args, cwd):
+    # the child runs in cwd, so a relative PYTHONPATH would not find the package
+    src = os.path.dirname(os.path.dirname(os.path.abspath(semfourier.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "semfourier", *args],
-        cwd=cwd, capture_output=True, text=True,
+        cwd=cwd, env=env, capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
     return proc

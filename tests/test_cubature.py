@@ -74,6 +74,24 @@ def test_cubature_of_nodal_field_matches_function_route():
     assert np.max(np.abs(a.values - b.values)) < 1e-15
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_scattered_waves_match_direct_sum(d):
+    # exp and the mixed terms break every axis symmetry; the list is
+    # unsorted, sparse, and reuses q_1 values with different q_2
+    def f(X):
+        return np.exp(np.sin(X[:, 0]) - 0.5 * X[:, 1]) + X[:, 0] * X[:, -1] ** 2
+
+    grid = TrigGrid(d, 8)
+    qs = [(2, -1, 3), (-3, 0, 1), (2, 4, -2), (0, 0, 0), (-1, 2, 2), (2, 3, -4)]
+    waves = WaveSet.from_list([q[:d] for q in qs])
+    cub = cubature_transform_fn(f, grid, waves)
+    X = grid.points()
+    fx = f(X)
+    for q in waves.qs:
+        direct = np.sum(fx * np.exp(-1j * (X @ np.array(q)))) / grid.M ** d
+        assert abs(cub.get(q)[0] - direct) <= 1e-14
+
+
 def test_piecewise_fields_converge_at_second_order():
     # interpolation kinks at element faces cap the rate at O(M^-2);
     # K = 2 would be atypical (odd symmetry cancels the face jumps)

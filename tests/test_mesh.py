@@ -290,6 +290,26 @@ def test_field_binary_header_checks(tmp_path):
         read_field(path, mesh)
 
 
+def test_field_binary_rejects_trailing_bytes(tmp_path):
+    mesh = uniform_mesh(1, 2, 2)
+    path = tmp_path / "f.bin"
+    write_field(NodalField(mesh, np.ones((2, 3, 1))), path)
+    path.write_bytes(path.read_bytes() + b"\x00" * 8)
+    with pytest.raises(ValueError, match="56 value bytes, expected 48"):
+        read_field(path, mesh)
+
+
+def test_field_json_checks_value_count(tmp_path):
+    mesh = uniform_mesh(1, 2, 2)
+    path = tmp_path / "f.json"
+    write_field_json(NodalField(mesh, np.ones((2, 3, 1))), path)
+    data = json.loads(path.read_text())
+    data["values"].append(1.0)
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match="7 values, expected 6"):
+        read_field_json(path, mesh)
+
+
 def test_field_json_round_trip(tmp_path):
     mesh = uniform_mesh(1, 2, 2)
     rng = np.random.default_rng(5)

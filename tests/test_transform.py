@@ -232,6 +232,23 @@ def test_compensated_mode_agrees_with_plain():
     assert np.max(np.abs(plain.values - comp.values)) < 1e-14
 
 
+def test_scattered_wave_list_matches_box_on_hanging_node_mesh():
+    # a reordered, sparse list: (1, -2, *) and (1, 3, *) share q_1 but not
+    # q_2, and (2, -2, 0) shares the q_2 of the first pair with another q_1
+    mesh = refine(uniform_mesh(3, 2, 3), [1, 6])
+    rng = np.random.default_rng(59)
+    field = NodalField(mesh, rng.uniform(-1, 1, (mesh.K, 64, 2)))
+    qs = [(1, 3, -1), (-3, 0, 2), (1, -2, 2), (2, -2, 0), (0, 0, 0),
+          (1, -2, -3), (-1, 3, 1), (3, 3, 3)]
+    listed = WaveSet.from_list(qs)
+    spec = transform(field, _plan_for(mesh, waves=listed))
+    box = transform(field, _plan_for(mesh, qmax=3))
+    ref = np.array([box.get(q) for q in qs])
+    assert np.max(np.abs(spec.values - ref)) <= 1e-15 * np.max(np.abs(ref))
+    comp = transform(field, _plan_for(mesh, waves=listed), compensated=True)
+    assert np.max(np.abs(spec.values - comp.values)) <= 1e-15 * np.max(np.abs(ref))
+
+
 def test_transform_rejects_foreign_mesh():
     mesh_a = uniform_mesh(1, 2, 3)
     mesh_b = uniform_mesh(1, 4, 3)
@@ -254,6 +271,9 @@ def test_waveset_construction_rules():
         WaveSet.from_list([])
     ws = WaveSet.from_list([(3, -2), (0, 1)])
     assert ws.d == 2 and ws.index((0, 1)) == 1
+    assert (0, 1) in ws and (1, 0) not in ws
+    with pytest.raises(ValueError, match="not in the wave set"):
+        ws.index((1, 0))
 
 
 def test_empty_waveset_transform():
