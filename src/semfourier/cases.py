@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import ive
 
 from .gll import legendre_eval
 from .bessel import bessel_column
@@ -230,26 +229,6 @@ def burgers_profile(s, tau: float, nu: float, n_quad: int = 1600) -> np.ndarray:
         den = np.einsum("mn->m", w)
         out[lo:lo + block] = num / den
     return out if np.ndim(s) else float(out[0])
-
-
-def _burgers_profile_series(s, tau: float, nu: float, n_max: int = 4000) -> np.ndarray:
-    """Fourier-series form of the same profile (modified-Bessel weights).
-
-    Only meaningful where the alternating denominator keeps significance,
-    roughly nu (1 + tau) >~ 0.1; kept as an independent cross-check of
-    ``burgers_profile``.
-    """
-    lam = 0.5 / nu
-    n = np.arange(1, n_max + 1)
-    rho = ((-1.0) ** n) * ive(n, lam) / ive(0, lam)
-    coef = rho * np.exp(-nu * tau * n * n)
-    keep = np.abs(coef) > 1e-300
-    n, coef = n[keep], coef[keep]
-    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-    phase = np.multiply.outer(s_arr, n)
-    num = 4.0 * nu * np.einsum("n,mn->m", coef * n, np.sin(phase))
-    den = 1.0 + 2.0 * np.einsum("n,mn->m", coef, np.cos(phase))
-    return num / den
 
 
 _BENCH_TIME = 1.6037

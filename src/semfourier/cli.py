@@ -10,8 +10,11 @@ significant digits, LF newlines.
 from __future__ import annotations
 
 import argparse
+import ast
 import json
+import operator
 import sys
+from collections.abc import Callable
 from math import pi
 
 import numpy as np
@@ -119,25 +122,79 @@ def _waves_from_args(args, d: int) -> WaveSet:
     return WaveSet.box(d, args.qmax)
 
 
+# Functions an --expr may call (one argument each), and its constants.
 _EXPR_NAMES = {
     "sin": np.sin, "cos": np.cos, "tan": np.tan, "exp": np.exp,
     "log": np.log, "sqrt": np.sqrt, "abs": np.abs, "sign": np.sign,
-    "sinh": np.sinh, "cosh": np.cosh, "tanh": np.tanh, "pi": np.pi,
-    "e": np.e,
+    "sinh": np.sinh, "cosh": np.cosh, "tanh": np.tanh,
 }
+_EXPR_CONSTANTS = {"pi": np.pi, "e": np.e}
+_EXPR_BINOPS = {
+    ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+    ast.Div: operator.truediv, ast.Pow: operator.pow, ast.Mod: operator.mod,
+}
+_EXPR_UNARYOPS = {ast.UAdd: operator.pos, ast.USub: operator.neg}
+
+
+def _compile_expr(text: str, variables) -> Callable[[dict], object]:
+    """Turn an --expr string into a function of the variable values.
+
+    Only numeric constants, the given variable names, pi and e, the
+    operators + - * / ** % (unary + -) and one-argument calls to the
+    ``_EXPR_NAMES`` functions are accepted; anything else raises
+    ``ValueError`` naming the offending node. Nothing is passed to
+    ``eval``: the returned function walks the checked tree. Constants are
+    float64, so overflow and division by zero give inf or nan, which
+    ``sample_field`` rejects, instead of exceptions or huge integers.
+    """
+    def build(node):
+        if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+            try:
+                value = np.float64(node.value)
+            except OverflowError:
+                raise ValueError(f"constant out of range in --expr {text!r}") from None
+            return lambda env: value
+        if isinstance(node, ast.Name):
+            if node.id in variables:
+                return lambda env: env[node.id]
+            if node.id in _EXPR_CONSTANTS:
+                value = _EXPR_CONSTANTS[node.id]
+                return lambda env: value
+            raise ValueError(f"unknown name {node.id!r} in --expr {text!r}")
+        if isinstance(node, ast.BinOp) and type(node.op) in _EXPR_BINOPS:
+            op, left, right = _EXPR_BINOPS[type(node.op)], build(node.left), build(node.right)
+            return lambda env: op(left(env), right(env))
+        if isinstance(node, ast.UnaryOp) and type(node.op) in _EXPR_UNARYOPS:
+            op, operand = _EXPR_UNARYOPS[type(node.op)], build(node.operand)
+            return lambda env: op(operand(env))
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in _EXPR_NAMES):
+            if len(node.args) != 1 or node.keywords:
+                raise ValueError(f"{node.func.id}() takes one argument in --expr {text!r}")
+            fn, arg = _EXPR_NAMES[node.func.id], build(node.args[0])
+            return lambda env: fn(arg(env))
+        what = type(getattr(node, "op", node)).__name__
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            what = f"call to {node.func.id!r}"
+        raise ValueError(f"{what} is not allowed in --expr {text!r}")
+
+    try:
+        tree = ast.parse(text.strip(), mode="eval")
+    except SyntaxError as exc:
+        raise ValueError(f"cannot parse --expr {text!r}: {exc.msg}") from None
+    return build(tree.body)
 
 
 def _expr_sampler(exprs: list[str], d: int):
-    codes = [compile(e, "<expr>", "eval") for e in exprs]
+    """Sampler over points (N, d) with one column per expression."""
+    variables = {}
+    for t, name in enumerate("xyz"[:d]):
+        variables[name] = variables[f"x{t + 1}"] = t
+    funcs = [_compile_expr(e, variables) for e in exprs]
 
     def func(X: np.ndarray) -> np.ndarray:
-        env = dict(_EXPR_NAMES)
-        for t, name in enumerate("xyz"[:d]):
-            env[name] = X[:, t]
-            env[f"x{t + 1}"] = X[:, t]
-        cols = [np.broadcast_to(eval(c, {"__builtins__": {}}, env), (X.shape[0],))
-                for c in codes]
-        return np.column_stack(cols)
+        env = {name: X[:, t] for name, t in variables.items()}
+        return np.column_stack([np.broadcast_to(f(env), (X.shape[0],)) for f in funcs])
 
     return func
 

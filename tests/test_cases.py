@@ -4,9 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ive
 
 from semfourier.cases import (
-    _burgers_profile_series,
     burgers_profile,
     case_burgers_t,
     case_burgers_t0,
@@ -144,6 +144,26 @@ def test_profile_small_time_expansion():
     for tau in (1e-4, 1e-3):
         gap = np.max(np.abs(burgers_profile(s, tau, 0.01) + np.sin(s)))
         assert gap < 2.0 * tau
+
+
+def _burgers_profile_series(s, tau: float, nu: float, n_max: int = 4000) -> np.ndarray:
+    """Fourier-series form of the same profile (modified-Bessel weights).
+
+    Only meaningful where the alternating denominator keeps significance,
+    roughly nu (1 + tau) >~ 0.1; kept as an independent cross-check of
+    ``burgers_profile``.
+    """
+    lam = 0.5 / nu
+    n = np.arange(1, n_max + 1)
+    rho = ((-1.0) ** n) * ive(n, lam) / ive(0, lam)
+    coef = rho * np.exp(-nu * tau * n * n)
+    keep = np.abs(coef) > 1e-300
+    n, coef = n[keep], coef[keep]
+    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
+    phase = np.multiply.outer(s_arr, n)
+    num = 4.0 * nu * np.einsum("n,mn->m", coef * n, np.sin(phase))
+    den = 1.0 + 2.0 * np.einsum("n,mn->m", coef, np.cos(phase))
+    return num / den
 
 
 @pytest.mark.parametrize("tau,nu", [(0.3, 0.5), (1.0, 0.2), (2.0, 0.12)])

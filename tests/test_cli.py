@@ -2,15 +2,26 @@
 
 import json
 import math
+import os
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import semfourier
 from semfourier.cases import case_sin
+from semfourier.cli import _expr_sampler
 from semfourier.gll import gll_rule, legendre_coeffs
-from semfourier.mesh import load_mesh, read_field, sample_field, uniform_mesh
+from semfourier.mesh import (
+    load_mesh,
+    read_field,
+    sample_field,
+    save_mesh,
+    uniform_mesh,
+    write_field,
+)
 from semfourier.transform import (
     WaveSet,
     build_plan,
@@ -202,3 +213,67 @@ def test_cli_error_paths(tmp_path):
     proc = run_cli("transform", "--mesh", mesh_path,
                    "--field", tmp_path / "x.bin", check=False)
     assert proc.returncode != 0
+
+
+@pytest.mark.parametrize("expr,node", [
+    ("().__class__", "Attribute"),
+    ("__import__('os')", "call to '__import__'"),
+    ("(lambda: x)()", "Call"),
+    ("lambda: 1", "Lambda"),
+    ("[x for t in y]", "ListComp"),
+    ("x.real", "Attribute"),
+    ("sin.__self__", "Attribute"),
+    ("open", "unknown name 'open'"),
+    ("z", "unknown name 'z'"),
+    ("x // 2", "FloorDiv"),
+    ("sin(x, y)", "takes one argument"),
+])
+def test_expr_rejects_everything_outside_the_whitelist(expr, node):
+    with pytest.raises(ValueError, match=re.escape(node)):
+        _expr_sampler([expr], 2)
+
+
+def test_expr_evaluates_like_numpy():
+    X = np.random.default_rng(2).uniform(-math.pi, math.pi, (50, 3))
+    func = _expr_sampler(["sin(x + 2*y) * exp(-z**2 % 3) - +x1/pi + sqrt(abs(x3)) - e", "2"], 3)
+    x, y, z = X.T
+    expect = np.sin(x + 2 * y) * np.exp(-z ** 2 % 3) - +x / np.pi + np.sqrt(np.abs(z)) - np.e
+    np.testing.assert_allclose(func(X)[:, 0], expect, rtol=1e-15, atol=1e-15)
+    np.testing.assert_array_equal(func(X)[:, 1], 2.0)
+
+
+def test_cli_unsafe_expr_exits_1(tmp_path):
+    mesh_path = tmp_path / "mesh.json"
+    save_mesh(uniform_mesh(1, 2, 2), mesh_path)
+    proc = run_cli("field", "sample", "--mesh", mesh_path, "--expr", "().__class__",
+                   "--out", tmp_path / "x.bin", check=False)
+    assert proc.returncode == 1
+    assert "Attribute is not allowed" in proc.stderr and "Traceback" not in proc.stderr
+    assert not (tmp_path / "x.bin").exists()
+
+
+def test_import_and_transform_leave_scipy_unloaded(tmp_path):
+    # scipy is a test dependency only; a fresh process from another
+    # directory must neither import it with the package nor during a run
+    src = os.path.dirname(os.path.dirname(os.path.abspath(semfourier.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def run(*args):
+        proc = subprocess.run([sys.executable, *args], cwd=tmp_path, env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return proc
+
+    code = "import sys, semfourier; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    assert run("-c", code).stdout.strip() == "[]"
+    mesh = uniform_mesh(2, 2, 3)
+    save_mesh(mesh, tmp_path / "mesh.json")
+    write_field(sample_field(mesh, gll_rule(3), lambda X: np.sin(X[:, 0])), tmp_path / "field.bin")
+    proc = run("-X", "importtime", "-m", "semfourier", "transform", "--mesh", "mesh.json",
+               "--field", "field.bin", "--qmax", "2", "--out", "spec.csv")
+    imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "semfourier.transform" in imported
+    assert not [m for m in imported if m.split(".")[0] == "scipy"]
+    assert (tmp_path / "spec.csv").read_text().startswith("q1,q2,")

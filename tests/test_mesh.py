@@ -2,13 +2,19 @@
 
 import json
 import math
+from contextlib import contextmanager
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
+
+import semfourier.mesh as mesh_module
 
 from semfourier.gll import gll_rule, legendre_coeffs, legendre_eval
 from semfourier.mesh import (
+    _locate,
     Element,
     Mesh,
     NodalField,
@@ -84,6 +90,150 @@ def test_float_mesh_validation_paths():
         Element(np.array([0.0]), np.array([0.0]))
 
 
+def _pairwise_oracle(elements, d):
+    """Partition checks over every pair of boxes, one at a time.
+
+    The brute-force reference for ``Mesh.validate``: same checks, same
+    order, same messages, exact on rational tags and with tolerance
+    1e-12 pi otherwise. Returns the first failure message or None.
+    """
+    boxes = []
+    if all(e.rational for e in elements):
+        vol = Fraction(0)
+        for e in elements:
+            lo = tuple(c - abs(h) for c, h in zip(e.a_pi, e.h_pi))
+            hi = tuple(c + abs(h) for c, h in zip(e.a_pi, e.h_pi))
+            if min(lo) < -1 or max(hi) > 1:
+                return "element extends outside [-pi, pi]^d"
+            boxes.append((lo, hi))
+            vol += math.prod(abs(h) for h in e.h_pi)
+        if vol != 1:
+            return "element volumes do not close the domain"
+
+        def overlap(bi, bj):
+            return all(bi[0][t] < bj[1][t] and bj[0][t] < bi[1][t] for t in range(d))
+    else:
+        tol = 1e-12 * math.pi
+        vol = 0.0
+        for e in elements:
+            lo, hi = e.bounds()
+            if np.min(lo) < -math.pi - tol or np.max(hi) > math.pi + tol:
+                return "element extends outside [-pi, pi]^d"
+            boxes.append((lo, hi))
+            vol += (2.0 ** d) * e.det_h
+        if abs(vol - (2.0 * math.pi) ** d) > 1e-12 * (2.0 * math.pi) ** d:
+            return "element volumes do not close the domain"
+
+        def overlap(bi, bj):
+            return np.all(np.minimum(bi[1], bj[1]) - np.maximum(bi[0], bj[0]) > tol)
+    for i in range(len(boxes)):
+        for j in range(i + 1, len(boxes)):
+            if overlap(boxes[i], boxes[j]):
+                return f"elements {i} and {j} overlap"
+    return None
+
+
+@contextmanager
+def _pair_block(n):
+    """Run with the sweep and point location testing n candidate pairs at a time."""
+    saved = mesh_module._PAIR_BLOCK
+    mesh_module._PAIR_BLOCK = n
+    try:
+        yield
+    finally:
+        mesh_module._PAIR_BLOCK = saved
+
+
+def _validation_error(d, elements):
+    try:
+        Mesh(d, 1, elements)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+_NUDGE = Fraction(1, 2 ** 44)  # far below the float tolerance of 1e-12 pi
+
+
+@st.composite
+def _perturbed_dyadic_meshes(draw):
+    """A refined dyadic mesh in random element order, with at most one
+    element moved, resized, duplicated or dropped."""
+    d = draw(st.integers(1, 3))
+    mesh = uniform_mesh(d, draw(st.sampled_from((2, 4, 1))), 1)
+    for _ in range(draw(st.integers(1, 3))):
+        mesh = refine(mesh, draw(st.lists(st.integers(0, mesh.K - 1), min_size=1,
+                                          max_size=4, unique=True)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    elements = [mesh.elements[k] for k in rng.permutation(mesh.K)]
+    kind = draw(st.sampled_from(("move", "resize", "duplicate", "drop", "none")))
+    # picking elements by volume moves coarse ones over refined regions,
+    # which overlaps several elements at once
+    vol = np.array([e.det_h for e in elements])
+    k = int(rng.choice(len(elements), p=vol / vol.sum()))
+    t = draw(st.integers(0, d - 1))
+    e = elements[k]
+    a, h = list(e.a_pi), list(e.h_pi)
+    if kind == "move":
+        step = draw(st.sampled_from((_NUDGE, h[t] / 2, h[t], 2 * h[t])))
+        step *= draw(st.sampled_from((-1, 1)))
+        if abs(a[t] + step) + h[t] > 1:
+            step = -step  # prefer overlaps inside the domain to leaving it
+        a[t] += step
+        elements[k] = element_from_pi(a, h)
+    elif kind == "resize":
+        h[t] *= draw(st.sampled_from((Fraction(1, 2), 2, 1 + _NUDGE)))
+        elements[k] = element_from_pi(a, h)
+    elif kind == "duplicate":
+        elements.insert(draw(st.integers(0, len(elements))), e)
+    elif kind == "drop" and len(elements) > 1:
+        del elements[k]
+    else:
+        kind = "none"
+    return d, kind, elements
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_perturbed_dyadic_meshes(), st.sampled_from((1, 7, 1 << 18)))
+def test_validation_matches_pairwise_oracle(case, block):
+    d, kind, elements = case
+    stripped = [Element(e.a.copy(), e.hdiag.copy()) for e in elements]
+    with _pair_block(block):
+        for boxes in (elements, stripped):
+            expect = _pairwise_oracle(boxes, d)
+            event(f"{kind}: {expect or 'valid'}")
+            assert _validation_error(d, boxes) == expect
+            if kind == "none":
+                assert expect is None
+
+
+def test_overlap_report_is_lexicographically_first():
+    # the sweep meets (1, 2) first, on the left; (0, 3) must be reported
+    spans = [(0, Fraction(1, 2)), (-1, Fraction(-1, 2)),
+             (Fraction(-3, 4), Fraction(-1, 4)), (Fraction(1, 4), Fraction(3, 4))]
+    rational = [element_from_pi([(lo + hi) / 2], [(hi - lo) / 2]) for lo, hi in spans]
+    stripped = [Element(e.a.copy(), e.hdiag.copy()) for e in rational]
+    for elements in (rational, stripped):
+        assert _pairwise_oracle(elements, 1) == "elements 0 and 3 overlap"
+        with pytest.raises(ValueError, match="elements 0 and 3 overlap"):
+            Mesh(1, 1, elements)
+
+
+def test_exact_validation_beyond_int64():
+    # a face at 1/3^40 needs a common denominator past 2^63
+    b = Fraction(1, 3 ** 40)
+    left = element_from_pi([(b - 1) / 2], [(b + 1) / 2])
+    Mesh(1, 1, [left, element_from_pi([(b + 1) / 2], [(1 - b) / 2])])
+    # shifting the right element left by 1/3^41 is invisible in floating
+    # point but is an exact overlap (and leaves room inside the domain)
+    s = Fraction(1, 3 ** 41)
+    right = element_from_pi([(b + 1) / 2 - s], [(1 - b) / 2])
+    with pytest.raises(ValueError, match="elements 0 and 1 overlap"):
+        Mesh(1, 1, [left, right])
+    assert _pairwise_oracle([left, right], 1) == "elements 0 and 1 overlap"
+
+
 def test_map_round_trip():
     e = element_from_pi([Fraction(1, 4), Fraction(-1, 2)], [Fraction(1, 4), Fraction(1, 2)])
     rng = np.random.default_rng(7)
@@ -140,6 +290,36 @@ def test_eval_on_shared_face_is_single_valued():
     # x = -pi/2 lies on the face between elements 0 and 1
     v = eval_field(field, np.array([-math.pi / 2]))
     assert v[0] == pytest.approx(math.sin(-math.pi / 2), abs=1e-3)
+
+
+def _locate_oracle(mesh, X):
+    """Owner of each point by one mask pass per element, smallest k first."""
+    owner = np.full(X.shape[0], -1)
+    for k, e in enumerate(mesh.elements):
+        lo, hi = e.bounds()
+        slack = 1e-12 * np.maximum(1.0, np.abs(e.a) + np.abs(e.hdiag))
+        inside = np.all((X >= lo - slack) & (X <= hi + slack), axis=1)
+        owner[(owner < 0) & inside] = k
+    return owner
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_locate_on_faces_corners_and_domain_edge(d):
+    mesh = refine(uniform_mesh(d, 2, 1), [0])
+    mesh = refine(mesh, [1, 2 ** d])  # a fine child and a coarse neighbour
+    # every corner, edge midpoint, face centre and centre of every element,
+    # which puts points on hanging-node faces, then the domain corners
+    unit = np.array(list(np.ndindex(*(3,) * d)), dtype=float) - 1.0
+    nodes = np.concatenate([e.a + e.hdiag * unit for e in mesh.elements])
+    corners = math.pi * (2.0 * np.array(list(np.ndindex(*(2,) * d))) - 1.0)
+    # plus points moved within the 1e-12 slack, and moved clearly outside
+    X = np.concatenate([nodes, corners, nodes[:40] + 1e-13, nodes[:40] - 1e-13,
+                        nodes[:40] * (1 + 1e-9)])
+    expect = _locate_oracle(mesh, X)
+    assert np.all(expect[: len(nodes) + len(corners)] >= 0) and np.any(expect < 0)
+    for block in (1, 5, 1 << 18):
+        with _pair_block(block):
+            np.testing.assert_array_equal(_locate(mesh, X), expect)
 
 
 def test_sampler_shape_and_finiteness_checks():
