@@ -1,10 +1,13 @@
 """Axis-aligned box meshes on [-pi, pi]^d and nodal fields on them.
 
 An element is the box {a + h xi : xi in [-1, 1]^d} with center a and
-per-axis half-legs h (the diagonal of the mapping matrix). Geometry is
-carried twice: as floats for evaluation, and optionally as exact rational
-multiples of pi, which makes partition checks exact and lets the transform
-recognize repeated Bessel arguments.
+per-axis half-legs h (the diagonal of the mapping matrix). A mesh holds
+the geometry of its K elements once, as (K, d) arrays: float centers and
+half-legs for evaluation and, when every element is a rational multiple
+of pi, exact integers over one common denominator. The integers make
+partition checks and refinement exact and let the transform recognize
+repeated Bessel arguments. Every layer reads these arrays; ``Element``
+is the value type of hand-built meshes and single-element maps.
 
 Node/value ordering is fixed everywhere: elements by index k, nodes within
 an element lexicographically with axis 1 fastest, vector components
@@ -18,6 +21,7 @@ import math
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import pi
 
 import numpy as np
@@ -28,6 +32,7 @@ __all__ = [
     "Element",
     "Mesh",
     "NodalField",
+    "element_arrays",
     "uniform_mesh",
     "map_to_physical",
     "map_to_reference",
@@ -54,6 +59,14 @@ _FIELD_MAGIC = b"SEMF"
 _HEADER = struct.Struct("<4s4i")  # magic, d, P, K, C; padded to 32 bytes
 
 
+def _check_geometry(a: np.ndarray, h: np.ndarray) -> None:
+    """Reject non-finite centers or half-legs and singular maps."""
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(h))):
+        raise ValueError("element geometry is not finite")
+    if np.any(h == 0.0):
+        raise ValueError("element mapping is singular")
+
+
 @dataclass(frozen=True, eq=False)
 class Element:
     """One axis-aligned box element.
@@ -71,10 +84,11 @@ class Element:
     h_pi: tuple[Fraction, ...] | None = None
 
     def __post_init__(self):
-        self.a.setflags(write=False)
-        self.hdiag.setflags(write=False)
-        if np.any(self.hdiag == 0.0):
-            raise ValueError("element mapping is singular")
+        for name in ("a", "hdiag"):
+            v = np.asarray(getattr(self, name), dtype=float)
+            v.setflags(write=False)
+            object.__setattr__(self, name, v)
+        _check_geometry(self.a, self.hdiag)
 
     @property
     def d(self) -> int:
@@ -87,11 +101,6 @@ class Element:
     @property
     def rational(self) -> bool:
         return self.a_pi is not None and self.h_pi is not None
-
-    @property
-    def h(self) -> np.ndarray:
-        """Full mapping matrix (diagonal), shape (d, d)."""
-        return np.diag(self.hdiag)
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         half = np.abs(self.hdiag)
@@ -107,36 +116,84 @@ def element_from_pi(a_pi, h_pi) -> Element:
     return Element(a, hdiag, a_pi, h_pi)
 
 
+def _exact_geometry(pairs, d: int):
+    """(a, h, A, H, L) from the (numerator, denominator) pairs of x / pi
+    listed per element, d for the center and then d for the half-legs.
+    The floats are float(Fraction(n, m)) * pi; A and H are int64 when every
+    bound and every difference of two bounds fits, Python ints otherwise.
+    """
+    L = math.lcm(*{m for _, m in pairs})
+    values = [n * (L // m) for n, m in pairs]
+    g = math.gcd(L, *values)  # divide out, so L is the least common denominator
+    if g > 1:
+        values, L = [v // g for v in values], L // g
+    wide = 4 * max(L, *map(abs, values)) >= 2 ** 63
+    v = np.array(values, dtype=object if wide else np.int64).reshape(-1, 2, d)
+    try:
+        x = (np.array([n / m for n, m in pairs]) * pi).reshape(-1, 2, d)
+    except OverflowError:
+        raise ValueError("element geometry is not finite") from None
+    return x[:, 0], x[:, 1], v[:, 0], v[:, 1], L
+
+
+def element_arrays(elements, d: int):
+    """The (K, d) geometry (a, h, A, H, L) of d-dimensional elements, as
+    ``Mesh`` holds it; A, H and L are None unless every element has tags."""
+    rows = [(e.a, e.hdiag, e.a_pi, e.h_pi) for e in elements]
+    if not rows:
+        raise ValueError("mesh needs at least one element")
+    if any(len(r[0]) != d or len(r[1]) != d for r in rows):
+        raise ValueError("element dimension mismatch")
+    if all(r[2] is not None and r[3] is not None for r in rows):
+        return _exact_geometry([(f.numerator, f.denominator) for r in rows for f in r[2] + r[3]], d)
+    return np.array([r[0] for r in rows]), np.array([r[1] for r in rows]), None, None, None
+
+
 class Mesh:
     """A validated partition of [-pi, pi]^d into axis-aligned boxes.
 
-    Construction checks containment, pairwise-disjoint interiors, and
-    volume closure; checks run exactly when every element carries rational
-    geometry and with 1e-12 relative tolerance otherwise. The disjointness
-    check is a sort and sweep along axis 1: O(K log K) plus one vectorized
-    test per pair of elements whose axis-1 extents overlap, about
-    K^(2 - 1/d) pairs on a uniform mesh, instead of all K^2 / 2 pairs.
+    Attributes:
+        d, P: dimension and polynomial degree.
+        a, h: element centers and signed per-axis half-legs, read-only
+            float arrays of shape (K, d).
+        A, H, L: the exact geometry a = A pi / L, h = H pi / L: integer
+            arrays (K, d) over the least common denominator L (int64, or
+            Python ints once 4 max(L, |A|, |H|) reaches 2^63). They are None
+            on a float-only mesh, which includes a mesh built from elements
+            of which only some carry exact tags: those tags are dropped.
+
+    ``Mesh(d, P, elements)`` converts the elements to these arrays once;
+    ``elements`` is a view of them built on first use. Construction checks
+    containment, pairwise-disjoint interiors (``_first_overlap``) and
+    volume closure: exactly on integer geometry, with 1e-12 relative
+    tolerance otherwise.
     """
 
-    def __init__(self, d: int, P: int, elements, check: bool = True):
+    def __init__(self, d: int, P: int, elements):
+        self._setup(d, P, *element_arrays(elements, d))
+
+    @classmethod
+    def _from_arrays(cls, d, P, a, h, A=None, H=None, L=None) -> Mesh:
+        """Mesh from (K, d) geometry arrays, validated like ``Mesh(...)``."""
+        mesh = cls.__new__(cls)
+        mesh._setup(d, P, a, h, A, H, L)
+        return mesh
+
+    def _setup(self, d, P, a, h, A, H, L) -> None:
         if not 1 <= d <= MAX_DIM:
             raise ValueError(f"dimension out of range [1, {MAX_DIM}]: {d}")
         if not 1 <= P <= MAX_FIELD_DEGREE:
             raise ValueError(f"degree out of range [1, {MAX_FIELD_DEGREE}]: {P}")
-        self.d = d
-        self.P = P
-        self.elements: tuple[Element, ...] = tuple(elements)
-        if not self.elements:
-            raise ValueError("mesh needs at least one element")
-        for e in self.elements:
-            if e.d != d:
-                raise ValueError("element dimension mismatch")
-        if check:
-            self.validate()
+        _check_geometry(a, h)
+        for v in (a, h, A, H):
+            if v is not None:
+                v.setflags(write=False)
+        self.d, self.P, self.a, self.h, self.A, self.H, self.L = d, P, a, h, A, H, L
+        self.validate()
 
     @property
     def K(self) -> int:
-        return len(self.elements)
+        return self.a.shape[0]
 
     @property
     def nodes_per_element(self) -> int:
@@ -144,20 +201,20 @@ class Mesh:
 
     @property
     def rational(self) -> bool:
-        return all(e.rational for e in self.elements)
+        return self.A is not None
+
+    @cached_property
+    def elements(self) -> tuple[Element, ...]:
+        """The elements, as Element values viewing the geometry arrays."""
+        tags = () if self.A is None else (
+            [tuple(Fraction(v, self.L) for v in row) for row in X.tolist()] for X in (self.A, self.H))
+        return tuple(map(Element, self.a, self.h, *tags))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Mesh):
             return NotImplemented
-        return (
-            self.d == other.d
-            and self.P == other.P
-            and self.K == other.K
-            and all(
-                np.array_equal(a.a, b.a) and np.array_equal(a.hdiag, b.hdiag)
-                for a, b in zip(self.elements, other.elements)
-            )
-        )
+        return (self.d == other.d and self.P == other.P
+                and np.array_equal(self.a, other.a) and np.array_equal(self.h, other.h))
 
     def __hash__(self):
         return hash((self.d, self.P, self.K))
@@ -165,20 +222,19 @@ class Mesh:
     def validate(self) -> None:
         """Check containment, volume closure and pairwise-disjoint interiors.
 
-        Rational meshes are checked exactly, on integer bounds over the
-        common denominator of all tags; others in floating point with
-        tolerance 1e-12 pi. Overlaps are found by ``_first_overlap``.
+        Meshes with integer geometry are checked exactly, on the bounds
+        A -+ |H| in [-L, L]^d; others in floating point with tolerance
+        1e-12 pi. Overlaps are found by ``_first_overlap``.
         """
-        if self.rational:
-            lo, hi, bound = _scaled_bounds(self.elements)
-            tol = 0
-            closed = sum(math.prod(w) for w in (hi - lo).tolist()) == (2 * bound) ** self.d
+        if self.A is not None:
+            half = np.abs(self.H)
+            lo, hi, bound, tol = self.A - half, self.A + half, self.L, 0
+            closed = sum(math.prod(w) for w in (2 * half).tolist()) == (2 * bound) ** self.d
         else:
-            a, h = _centres_and_halves(self.elements)
-            lo, hi, bound = a - h, a + h, pi
-            tol = 1e-12 * pi
+            half = np.abs(self.h)
+            lo, hi, bound, tol = self.a - half, self.a + half, pi, 1e-12 * pi
             full = (2.0 * pi) ** self.d
-            vol = 2.0 ** self.d * math.fsum(np.prod(h, axis=1))
+            vol = 2.0 ** self.d * math.fsum(np.prod(half, axis=1))
             closed = abs(vol - full) <= 1e-12 * full
         if lo.min() < -(bound + tol) or hi.max() > bound + tol:
             raise ValueError("element extends outside [-pi, pi]^d")
@@ -189,31 +245,9 @@ class Mesh:
             raise ValueError(f"elements {pair[0]} and {pair[1]} overlap")
 
 
-def _scaled_bounds(elements) -> tuple[np.ndarray, np.ndarray, int]:
-    """Exact bounds of rational elements as integers over a common denominator.
-
-    Returns (lo, hi, L): lo and hi of shape (K, d) hold (a_pi -+ |h_pi|) L,
-    where L is the least common denominator of every a_pi and h_pi, so
-    the domain is [-L, L]^d. The arrays are int64 when every bound and
-    every difference of two bounds fits, Python ints otherwise.
-    """
-    fracs = [v for e in elements for v in e.a_pi + e.h_pi]
-    L = math.lcm(*{f.denominator for f in fracs})
-    ints = [f.numerator * (L // f.denominator) for f in fracs]
-    wide = 4 * max(L, max(map(abs, ints))) >= 2 ** 63
-    v = np.array(ints, dtype=object if wide else np.int64).reshape(len(elements), 2, -1)
-    a, h = v[:, 0], np.abs(v[:, 1])
-    return a - h, a + h, L
-
-
-def _centres_and_halves(elements) -> tuple[np.ndarray, np.ndarray]:
-    """Float centres and absolute half-legs of the elements, each (K, d)."""
-    return (np.array([e.a for e in elements]),
-            np.abs(np.array([e.hdiag for e in elements])))
-
-
 # Candidate pairs tested at once by the partition sweep and by point
-# location; keeps their temporary arrays to a few tens of MB.
+# location, and nodal values gathered at once by point evaluation; keeps
+# their temporary arrays to a few tens of MB.
 _PAIR_BLOCK = 1 << 18
 
 
@@ -269,10 +303,9 @@ def uniform_mesh(d: int, n_per_axis: int, P: int) -> Mesh:
     """
     if n_per_axis < 1:
         raise ValueError("need at least one element per axis")
-    centers = [Fraction(2 * i + 1 - n_per_axis, n_per_axis) for i in range(n_per_axis)]
-    half = Fraction(1, n_per_axis)
-    grid = tensor_grid(np.array(centers, dtype=object), d)
-    return Mesh(d, P, [element_from_pi(a, [half] * d) for a in grid])
+    centers = tensor_grid(np.arange(1 - n_per_axis, n_per_axis, 2), d)
+    values = np.stack([centers, np.ones_like(centers)], axis=1).ravel().tolist()
+    return Mesh._from_arrays(d, P, *_exact_geometry([(v, n_per_axis) for v in values], d))
 
 
 def map_to_physical(element: Element, xi) -> np.ndarray:
@@ -310,10 +343,7 @@ def gll_node_positions(mesh: Mesh, rule: GllRule) -> np.ndarray:
     if rule.degree != mesh.P:
         raise ValueError("rule degree does not match mesh degree")
     ref = tensor_grid(rule.nodes, mesh.d)
-    out = np.empty((mesh.K, ref.shape[0], mesh.d))
-    for k, e in enumerate(mesh.elements):
-        out[k] = e.a + e.hdiag * ref
-    return out
+    return mesh.a[:, None, :] + mesh.h[:, None, :] * ref
 
 
 @dataclass(frozen=True, eq=False)
@@ -360,25 +390,6 @@ def sample_field(mesh: Mesh, rule: GllRule, f) -> NodalField:
     return NodalField(mesh, vals.reshape(mesh.K, -1, vals.shape[1]).copy())
 
 
-def _table_for(P: int) -> LegendreCoeffTable:
-    return legendre_coeffs(gll_rule(P))
-
-
-def _contract_nodal(U: np.ndarray, phis: list[np.ndarray]) -> np.ndarray:
-    """Sum_j U_j prod_alpha phi_alpha[j_alpha] for batched basis rows.
-
-    U has axes (j_d, ..., j_1, c); each phis[alpha-1] has shape (N, P+1).
-    Returns (N, C).
-    """
-    d = len(phis)
-    letters = "pqr"[:d]
-    # axis 1 is the fastest storage axis, hence the last tensor axis
-    operands = [phis[t] for t in range(d)]
-    subs = ",".join(f"n{letters[t]}" for t in range(d))
-    tensor_sub = "".join(letters[::-1]) + "c"
-    return np.einsum(f"{subs},{tensor_sub}->nc", *operands, U)
-
-
 def _locate(mesh: Mesh, X: np.ndarray) -> np.ndarray:
     """Owning element index for each point, smallest index winning on faces.
 
@@ -388,7 +399,7 @@ def _locate(mesh: Mesh, X: np.ndarray) -> np.ndarray:
     contiguous run found by searchsorted, and only those are tested on the
     other axes.
     """
-    a, h = _centres_and_halves(mesh.elements)
+    a, h = mesh.a, np.abs(mesh.h)
     slack = 1e-12 * np.maximum(1.0, np.abs(a) + h)
     lo, hi = a - h - slack, a + h + slack
     order = np.argsort(X[:, 0], kind="stable")
@@ -414,17 +425,20 @@ def eval_field_many(field: NodalField, X) -> np.ndarray:
     if np.any(owner < 0):
         bad = X_arr[owner < 0][0]
         raise ValueError(f"point outside mesh domain: {bad}")
-    table = _table_for(mesh.P)
-    shape = (mesh.P + 1,) * mesh.d + (field.components,)
-    out = np.empty((X_arr.shape[0], field.components))
-    for k in np.unique(owner):
-        sel = np.flatnonzero(owner == k)
-        e = mesh.elements[k]
-        xi = (X_arr[sel] - e.a) / e.hdiag
+    table = legendre_coeffs(gll_rule(mesh.P))
+    C = field.components
+    shape = (mesh.P + 1,) * mesh.d + (C,)
+    # sum_j U[n, j] prod_t phi_t[n, j_t], with axis 1 the last node axis of U
+    letters = "pqr"[:mesh.d]
+    spec = ",".join(f"n{c}" for c in letters) + f",n{letters[::-1]}c->nc"
+    out = np.empty((X_arr.shape[0], C))
+    step = max(1, _PAIR_BLOCK // (mesh.nodes_per_element * C))
+    for s in range(0, X_arr.shape[0], step):
+        k = owner[s:s + step]
+        xi = (X_arr[s:s + step] - mesh.a[k]) / mesh.h[k]
         np.clip(xi, -1.0, 1.0, out=xi)
         phis = [interp_matrix(table, xi[:, t]) for t in range(mesh.d)]
-        U = field.values[k].reshape(shape)
-        out[sel] = _contract_nodal(U, phis)
+        out[s:s + step] = np.einsum(spec, *phis, field.values[k].reshape((k.size,) + shape))
     return out
 
 
@@ -434,23 +448,25 @@ def eval_field(field: NodalField, x) -> np.ndarray:
 
 
 def nodal_to_modal(table: LegendreCoeffTable, values: np.ndarray, d: int) -> np.ndarray:
-    """Per-axis Legendre coefficients of one element's interpolant.
+    """Per-axis Legendre coefficients of elements' interpolants.
 
     Args:
         table: coefficient table of the element degree.
-        values: nodal values, shape ((P+1)^d, C).
+        values: nodal values, shape ((P+1)^d, C), or (K, (P+1)^d, C) for
+            K elements at once.
         d: spatial dimension.
 
     Returns:
-        Modal tensor with axes (p_d, ..., p_1, c).
+        Modal tensor with axes (p_d, ..., p_1, c), behind the element axis
+        if ``values`` has one.
     """
     P = table.degree
-    U = values.reshape((P + 1,) * d + (values.shape[-1],))
-    for _ in range(d):
-        # contract the leading j axis against c[j, p]; p lands last
-        U = np.tensordot(U, table.coeffs, axes=([0], [0]))
-    # axes now (c, p_d, ..., p_1); move c to the end
-    return np.moveaxis(U, 0, -1)
+    batch = values.shape[:-2]
+    U = values.reshape(batch + (P + 1,) * d + (values.shape[-1],))
+    for t in range(len(batch), len(batch) + d):
+        # contract node axis j against c[j, p]; p lands last, move it back
+        U = np.moveaxis(np.tensordot(U, table.coeffs, axes=([t], [0])), -1, t)
+    return U
 
 
 def element_indicator(field: NodalField) -> np.ndarray:
@@ -461,17 +477,13 @@ def element_indicator(field: NodalField) -> np.ndarray:
     components. Smooth well-resolved data drives it toward zero.
     """
     mesh = field.mesh
-    table = _table_for(mesh.P)
-    out = np.empty(mesh.K)
-    for k in range(mesh.K):
-        modal = nodal_to_modal(table, field.values[k], mesh.d)
-        worst = 0.0
-        for axis in range(mesh.d):
-            slab = np.take(modal, mesh.P, axis=mesh.d - 1 - axis)
-            rms = np.sqrt(np.mean(np.square(slab.reshape(-1, field.components)), axis=0))
-            worst = max(worst, float(np.max(rms)))
-        out[k] = worst
-    return out
+    modal = nodal_to_modal(legendre_coeffs(gll_rule(mesh.P)), field.values, mesh.d)
+    worst = np.zeros(mesh.K)
+    for axis in range(mesh.d):
+        slab = np.take(modal, mesh.P, axis=mesh.d - axis)
+        rms = np.sqrt(np.mean(np.square(slab.reshape(mesh.K, -1, field.components)), axis=1))
+        worst = np.maximum(worst, np.max(rms, axis=1))
+    return worst
 
 
 def refine(mesh: Mesh, flags) -> Mesh:
@@ -486,32 +498,26 @@ def refine(mesh: Mesh, flags) -> Mesh:
         axis 1 fastest.
     """
     flags_arr = np.asarray(flags)
-    if flags_arr.size == 0:
-        return Mesh(mesh.d, mesh.P, mesh.elements)
-    if flags_arr.dtype == bool:
-        if flags_arr.shape != (mesh.K,):
-            raise ValueError("flag mask length does not match mesh")
-        mask = flags_arr
-    else:
-        mask = np.zeros(mesh.K, dtype=bool)
+    if flags_arr.dtype == bool and flags_arr.size and flags_arr.shape != (mesh.K,):
+        raise ValueError("flag mask length does not match mesh")
+    mask = np.zeros(mesh.K, dtype=bool)
+    if flags_arr.size:
         mask[flags_arr] = True
-    signs = tensor_grid([-1, 1], mesh.d).tolist()
-    elements = []
-    for k, e in enumerate(mesh.elements):
-        if not mask[k]:
-            elements.append(e)
-            continue
-        if e.rational:
-            half = [h / 2 for h in e.h_pi]
-            for sgn in signs:
-                a = [c + s * hh for c, s, hh in zip(e.a_pi, sgn, half)]
-                elements.append(element_from_pi(a, half))
-        else:
-            half = 0.5 * e.hdiag
-            for sgn in signs:
-                a = e.a + np.asarray(sgn) * half
-                elements.append(Element(a, half.copy()))
-    return Mesh(mesh.d, mesh.P, elements)
+    d = mesh.d
+    count = np.where(mask, 2 ** d, 1)
+    parent = np.repeat(np.arange(mesh.K), count)
+    child = np.arange(parent.size) - np.repeat(np.cumsum(count) - count, count)
+    sign = tensor_grid(np.array([-1, 1]), d)[child]
+    split = mask[parent][:, None]
+    # over twice the denominator, children sit at 2A -+ H with half-legs H
+    # and kept elements at 2A with 2H; halving floats is exact
+    c, w = (mesh.a, mesh.h) if mesh.A is None else (mesh.A, mesh.H)
+    c, w = 2 * c[parent], w[parent]
+    c, w = np.where(split, c + sign * w, c), np.where(split, w, 2 * w)
+    if mesh.A is None:
+        return Mesh._from_arrays(d, mesh.P, c / 2, w / 2)
+    values = np.stack([c, w], axis=1).ravel().tolist()
+    return Mesh._from_arrays(d, mesh.P, *_exact_geometry([(v, 2 * mesh.L) for v in values], d))
 
 
 def refine_by_indicator(mesh: Mesh, field: NodalField, tol: float):
@@ -532,48 +538,68 @@ def refine_by_indicator(mesh: Mesh, field: NodalField, tol: float):
 
 # ----------------------------------------------------------------- I/O --
 
-def _frac_pair(f: Fraction) -> list[int]:
-    return [f.numerator, f.denominator]
+def _reduced_pairs(X: np.ndarray, L: int) -> np.ndarray:
+    """[numerator, denominator] of each X / L in lowest terms: X.shape + (2,)."""
+    g = np.gcd(X, L)
+    return np.stack([X // g, L // g], axis=-1)
 
 
 def mesh_to_dict(mesh: Mesh) -> dict:
-    elems = []
-    for e in mesh.elements:
-        entry = {
-            "a": [float(v) for v in e.a],
-            "h": [[float(v) for v in row] for row in e.h],
-        }
-        if e.rational:
-            entry["a_over_pi"] = [_frac_pair(v) for v in e.a_pi]
-            entry["h_over_pi"] = [
-                [_frac_pair(e.h_pi[i]) if i == j else [0, 1] for j in range(mesh.d)]
-                for i in range(mesh.d)
-            ]
-        elems.append(entry)
-    return {"d": mesh.d, "P": mesh.P, "elements": elems}
+    K, d = mesh.K, mesh.d
+    diagonal = (slice(None), range(d), range(d))
+    h = np.zeros((K, d, d))
+    h[diagonal] = mesh.h
+    columns = {"a": mesh.a.tolist(), "h": h.tolist()}
+    if mesh.A is not None:
+        h_pi = np.zeros((K, d, d, 2), dtype=mesh.H.dtype)
+        h_pi[..., 1] = 1
+        h_pi[diagonal] = _reduced_pairs(mesh.H, mesh.L)
+        columns["a_over_pi"] = _reduced_pairs(mesh.A, mesh.L).tolist()
+        columns["h_over_pi"] = h_pi.tolist()
+    rows = zip(*columns.values())
+    return {"d": d, "P": mesh.P, "elements": [dict(zip(columns, row)) for row in rows]}
+
+
+def _nested(rows, shape, types, what) -> np.ndarray:
+    """rows as an object array of the given shape and entry types."""
+    arr = np.array(rows, dtype=object)
+    if arr.shape != shape or not all(type(v) in types for v in arr.flat):
+        raise ValueError(f"mesh {what} do not form a {' x '.join(map(str, shape))} "
+                         f"array of {types[0].__name__}s")
+    return arr
 
 
 def mesh_from_dict(data: dict) -> Mesh:
-    d = int(data["d"])
-    P = int(data["P"])
-    elements = []
-    for entry in data["elements"]:
-        if "a_over_pi" in entry and "h_over_pi" in entry:
-            a_pi = [Fraction(n, m) for n, m in entry["a_over_pi"]]
-            h_mat = entry["h_over_pi"]
-            for i in range(d):
-                for j in range(d):
-                    if i != j and Fraction(h_mat[i][j][0], h_mat[i][j][1]) != 0:
-                        raise ValueError("only axis-aligned (diagonal) maps supported")
-            h_pi = [Fraction(h_mat[i][i][0], h_mat[i][i][1]) for i in range(d)]
-            elements.append(element_from_pi(a_pi, h_pi))
-        else:
-            a = np.asarray(entry["a"], dtype=float)
-            h = np.asarray(entry["h"], dtype=float)
-            if h.shape != (d, d) or np.any(h != np.diag(np.diag(h))):
-                raise ValueError("only axis-aligned (diagonal) maps supported")
-            elements.append(Element(a, np.diag(h).copy()))
-    return Mesh(d, P, elements)
+    """Mesh from the dict of ``mesh_to_dict``; ValueError names any fault.
+
+    When every element has exact tags ('a_over_pi' and 'h_over_pi'), they
+    define the geometry; otherwise the floats 'a' and 'h' do.
+    """
+    entries = data.get("elements") if isinstance(data, dict) else None
+    if not (isinstance(entries, list) and entries and all(isinstance(e, dict) for e in entries)):
+        raise ValueError("mesh lacks a nonempty 'elements' list of JSON objects")
+    for key in ("d", "P"):
+        if type(data.get(key)) is not int:
+            raise ValueError(f"mesh '{key}' is missing or not an integer: {data.get(key)!r}")
+    d, P, K = data["d"], data["P"], len(entries)
+    diagonal = (slice(None), range(d), range(d))
+    tagged = all("a_over_pi" in e and "h_over_pi" in e for e in entries)
+    if tagged:
+        a = _nested([e["a_over_pi"] for e in entries], (K, d, 2), (int,), "'a_over_pi' tags")
+        h = _nested([e["h_over_pi"] for e in entries], (K, d, d, 2), (int,), "'h_over_pi' tags")
+        if np.any(a[..., 1] == 0) or np.any(h[..., 1] == 0):
+            raise ValueError("mesh exact tag has a zero denominator")
+        off_diagonal = h[..., 0][:, ~np.eye(d, dtype=bool)]
+    else:
+        a = _nested([e.get("a") for e in entries], (K, d), (int, float), "centers 'a'")
+        h = _nested([e.get("h") for e in entries], (K, d, d), (int, float), "maps 'h'")
+        off_diagonal = h[:, ~np.eye(d, dtype=bool)]
+    if np.any(off_diagonal != 0):
+        raise ValueError("only axis-aligned (diagonal) maps supported")
+    if not tagged:
+        return Mesh._from_arrays(d, P, a.astype(float), h[diagonal].astype(float))
+    pairs = np.concatenate([a, h[diagonal]], axis=1).reshape(-1, 2).tolist()
+    return Mesh._from_arrays(d, P, *_exact_geometry(pairs, d))
 
 
 def save_mesh(mesh: Mesh, path) -> None:

@@ -9,15 +9,16 @@ function through node j of element k is a product over axes,
 
 with c the Legendre coefficients of the cardinal interpolants and B_p the
 spherical Bessel column. A TransformPlan keeps one table F_t per axis over
-the distinct q_t of its wave set; Bessel arguments repeat exactly through
-the rational geometry and share columns. ``contract_waves`` sums
+the distinct q_t of its wave set, built from the mesh's (K, d) geometry
+arrays; on exact meshes the Bessel arguments are the integers q_t H[k, t]
+over one denominator, so repeated arguments are recognized exactly and
+share one column. ``contract_waves`` sums
 phi_hat * u by sum factorization in a fixed order (axis 1, then axes
 2..d, then elements in index order), so results are reproducible to the bit.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -27,7 +28,7 @@ import numpy as np
 
 from .bessel import bessel_column
 from .gll import GllRule, LegendreCoeffTable
-from .mesh import Element, Mesh, NodalField
+from .mesh import Element, Mesh, NodalField, element_arrays
 
 __all__ = [
     "WaveSet",
@@ -137,37 +138,37 @@ def ipow_neg(P: int) -> np.ndarray:
     return cycle[np.arange(P + 1) % 4]
 
 
-def _axis_key(element: Element, q_t: int, t: int):
-    """(memo key, float argument) for q_t times half-leg of axis t.
+def _factor_tables(a: np.ndarray, h: np.ndarray, H, L, q_axes,
+                   table: LegendreCoeffTable):
+    """F_t[k, m, j] = e^{-i q_m a_{k,t}} sum_p c[j,p] i^{-p} B_p(q_m h_{k,t}).
 
-    Rational geometry keys on the exact Fraction q h / pi; float geometry
-    keys on the float product. The tag keeps the two key spaces apart.
+    Geometry as ``Mesh`` holds it. The Bessel keys are the exact integers
+    q_m H[k, t] (argument key / L * pi, key / L correctly rounded), or the
+    floats q_m h[k, t] if H is None; one column per distinct key over all
+    axes. Returns the (K, len(q_axes[t]), P+1) tables, the weights
+    |det h_k| / pi^d of shape (K,), and the key count.
     """
-    if element.rational:
-        fr = q_t * element.h_pi[t]
-        return ("r", fr), float(fr) * math.pi
-    r = float(q_t) * float(element.hdiag[t])
-    return ("f", r), r
-
-
-def _axis_table(elements, t: int, q_axis, table: LegendreCoeffTable,
-                memo: dict) -> np.ndarray:
-    """F[k, m, j] = e^{-i q_m a_{k,t}} sum_p c[j,p] i^{-p} B_p(q_m h_{k,t}).
-
-    Shape (len(elements), len(q_axis), P+1); the Bessel sums are memoized
-    under ``_axis_key``. Entries do not depend on the table size.
-    """
-    ip = ipow_neg(table.degree)
-    out = np.empty((len(elements), len(q_axis), table.degree + 1), dtype=complex)
-    for k, e in enumerate(elements):
-        for m, q in enumerate(q_axis):
-            key, r = _axis_key(e, q, t)
-            s = memo.get(key)
-            if s is None:
-                col = bessel_column(r, table.degree)
-                s = memo[key] = np.einsum("jp,p->j", table.coeffs, ip * col)
-            out[k, m] = cmath.exp(-1j * (q * e.a[t])) * s
-    return out
+    P = table.degree
+    g = h if H is None else H
+    qmax = max([int(np.max(np.abs(q))) for q in q_axes if q.size] or [0])
+    if g.dtype == np.int64 and qmax * int(np.max(np.abs(g))) >= 2 ** 63:
+        g = g.astype(object)  # keys past int64 stay exact as Python ints
+    keys = [np.multiply.outer(g[:, t], q) for t, q in enumerate(q_axes)]
+    distinct, inverse = np.unique(np.concatenate([k.ravel() for k in keys]),
+                                  return_inverse=True)
+    ip = ipow_neg(P)
+    S = np.empty((distinct.size, P + 1), dtype=complex)
+    for i, key in enumerate(distinct.tolist()):
+        r = key if H is None else key / L * math.pi
+        S[i] = np.einsum("jp,p->j", table.coeffs, ip * bessel_column(r, P))
+    tables, start = [], 0
+    for t, k in enumerate(keys):
+        phase = np.exp(-1j * np.multiply.outer(a[:, t], q_axes[t]))
+        rows = S[inverse[start:start + k.size]].reshape(k.shape + (P + 1,))
+        tables.append(np.multiply(phase[:, :, None], rows, out=rows))
+        start += k.size
+    weight = np.prod(np.abs(h), axis=1) / math.pi ** h.shape[1]
+    return tuple(tables), weight, distinct.size
 
 
 def contract_waves(values: np.ndarray, factors, weight: np.ndarray,
@@ -202,7 +203,7 @@ class TransformPlan:
 
     Attributes:
         mesh, rule, table, waves: the inputs the plan was built for.
-        factors: per axis t, the (K, m_t, P+1) table of ``_axis_table``
+        factors: per axis t, the (K, m_t, P+1) table of ``_factor_tables``
             over the distinct q_t of ``waves``.
         weight: |det h_k| / pi^d per element, shape (K,).
         n_bessel_args: number of distinct Bessel arguments evaluated.
@@ -218,13 +219,8 @@ class TransformPlan:
         self.rule = rule
         self.table = table
         self.waves = waves
-        memo: dict = {}
-        self.factors = tuple(
-            _axis_table(mesh.elements, t, q_axis.tolist(), table, memo)
-            for t, q_axis in enumerate(waves.axis_index[0])
-        )
-        self.weight = np.array([e.det_h / math.pi ** mesh.d for e in mesh.elements])
-        self.n_bessel_args = len(memo)
+        self.factors, self.weight, self.n_bessel_args = _factor_tables(
+            mesh.a, mesh.h, mesh.H, mesh.L, waves.axis_index[0], table)
         for a in self.factors + (self.weight,):
             a.setflags(write=False)
 
@@ -252,7 +248,7 @@ def phi_hat(rule: GllRule, table: LegendreCoeffTable, element: Element,
         j: node multi-index (j_1, .., j_d), or an int in 1D.
         q: integer wavevector of matching dimension.
 
-    Builds one-entry tables with the plan's table builder and multiplies
+    Builds one-element tables with the plan's table builder and multiplies
     them in the same order, so values agree bitwise with
     ``TransformPlan.basis_coefficient``.
     """
@@ -263,10 +259,10 @@ def phi_hat(rule: GllRule, table: LegendreCoeffTable, element: Element,
         raise ValueError("index/wavevector dimension mismatch")
     if not all(0 <= jt <= table.degree for jt in j_tup):
         raise IndexError("node index out of range")
-    return complex(math.prod(
-        [_axis_table([element], t, [int(q_tup[t])], table, {})[0, 0, j_tup[t]]
-         for t in range(d)],
-        start=complex(element.det_h / math.pi ** d)))
+    a, h, _, H, L = element_arrays([element], d)
+    tables, weight, _ = _factor_tables(a, h, H, L, [np.array([int(v)]) for v in q_tup], table)
+    return complex(math.prod([F[0, 0, jt] for F, jt in zip(tables, j_tup)],
+                             start=complex(weight[0])))
 
 
 def transform(field: NodalField, plan: TransformPlan,

@@ -12,10 +12,11 @@ import pytest
 
 import semfourier
 from semfourier.cases import case_sin
-from semfourier.cli import _expr_sampler
+from semfourier.cli import _expr_sampler, main
 from semfourier.gll import gll_rule, legendre_coeffs
 from semfourier.mesh import (
     load_mesh,
+    mesh_to_dict,
     read_field,
     sample_field,
     save_mesh,
@@ -277,3 +278,42 @@ def test_import_and_transform_leave_scipy_unloaded(tmp_path):
     assert "semfourier.transform" in imported
     assert not [m for m in imported if m.split(".")[0] == "scipy"]
     assert (tmp_path / "spec.csv").read_text().startswith("q1,q2,")
+
+
+def _drop(key):
+    return lambda data: data.pop(key)
+
+
+def _set_first_element(key, value):
+    return lambda data: data["elements"][0].update({key: value})
+
+
+def _float_only(data):
+    for entry in data["elements"]:
+        del entry["a_over_pi"], entry["h_over_pi"]
+
+
+@pytest.mark.parametrize("edit,message", [
+    (_drop("elements"), "lacks a nonempty 'elements' list"),
+    (_drop("d"), "mesh 'd' is missing or not an integer: None"),
+    (_drop("P"), "mesh 'P' is missing or not an integer: None"),
+    (lambda data: data.update(P=2.7), "mesh 'P' is missing or not an integer: 2.7"),
+    (_set_first_element("a_over_pi", [[1, 0]]), "zero denominator"),
+    (_set_first_element("a_over_pi", [[0.5, 2]]), "'a_over_pi' tags do not form a 2 x 1 x 2"),
+    (lambda data: (_float_only(data), data["elements"][1].update(a=[math.nan])),
+     "element geometry is not finite"),
+    (_set_first_element("a_over_pi", [[10 ** 400, 1]]), "element geometry is not finite"),
+    (lambda data: (_float_only(data), data["elements"][0].pop("h")), "maps 'h' do not form"),
+], ids=["no-elements", "no-d", "no-P", "fractional-P", "zero-denominator",
+        "float-tag", "nan", "huge-tag", "no-h"])
+def test_malformed_mesh_file_exits_1(tmp_path, capsys, edit, message):
+    data = mesh_to_dict(uniform_mesh(1, 2, 2))
+    edit(data)
+    path = tmp_path / "mesh.json"
+    path.write_text(json.dumps(data))
+    code = main(["field", "sample", "--mesh", str(path), "--case", "sin",
+                 "--out", str(tmp_path / "x.bin")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+    assert not (tmp_path / "x.bin").exists()

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import semfourier.mesh as mesh_module
 
-from semfourier.gll import gll_rule, legendre_coeffs, legendre_eval
+from semfourier.gll import gll_rule, interp_matrix, legendre_coeffs, legendre_eval
 from semfourier.mesh import (
     _locate,
     Element,
@@ -500,3 +500,133 @@ def test_field_json_round_trip(tmp_path):
     assert np.array_equal(back.values, field.values)
     with pytest.raises(ValueError, match="does not match"):
         read_field_json(path, uniform_mesh(1, 4, 2))
+
+
+def _eval_oracle(field, X):
+    """Per-owner-element evaluation: one interp_matrix and einsum each."""
+    mesh = field.mesh
+    owner = _locate(mesh, X)
+    table = legendre_coeffs(gll_rule(mesh.P))
+    out = np.empty((X.shape[0], field.components))
+    for k in np.unique(owner):
+        sel = np.flatnonzero(owner == k)
+        e = mesh.elements[k]
+        xi = np.clip((X[sel] - e.a) / e.hdiag, -1.0, 1.0)
+        phis = [interp_matrix(table, xi[:, t]) for t in range(mesh.d)]
+        U = field.values[k].reshape((mesh.P + 1,) * mesh.d + (field.components,))
+        out[sel] = np.einsum(",".join(f"n{c}" for c in "pqr"[:mesh.d])
+                             + "," + "pqr"[:mesh.d][::-1] + "c->nc", *phis, U)
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_blocked_evaluation_matches_per_element_loop(d):
+    mesh = refine(uniform_mesh(d, 2, 3), [0])
+    mesh = refine(mesh, [1, mesh.K - 1])
+    rng = np.random.default_rng(d)
+    field = NodalField(mesh, rng.uniform(-1, 1, (mesh.K, 4 ** d, 2)))
+    X = rng.uniform(-math.pi, math.pi, (300, d))
+    expect = _eval_oracle(field, X)
+    for block in (1, 100, 1 << 18):
+        with _pair_block(block):
+            np.testing.assert_allclose(eval_field_many(field, X), expect,
+                                       rtol=1e-14, atol=1e-14)
+
+
+def test_non_finite_geometry_is_rejected():
+    with pytest.raises(ValueError, match="not finite"):
+        Element([math.nan], [math.pi / 2])
+    with pytest.raises(ValueError, match="not finite"):
+        Element(np.array([0.0]), np.array([math.inf]))
+    with pytest.raises(ValueError, match="not finite"):
+        Mesh(1, 2, [Element([math.nan], [math.pi / 2]),
+                    Element([math.pi / 2], [math.pi / 2])])
+
+
+def test_mesh_file_with_non_finite_geometry_is_rejected(tmp_path):
+    data = mesh_to_dict(uniform_mesh(1, 2, 2))
+    for entry in data["elements"]:
+        del entry["a_over_pi"], entry["h_over_pi"]
+    path = tmp_path / "mesh.json"
+    for field, value in (("a", [math.nan]), ("h", [[math.inf]])):
+        bad = json.loads(json.dumps(data))
+        bad["elements"][0][field] = value
+        path.write_text(json.dumps(bad))  # writes NaN / Infinity
+        with pytest.raises(ValueError, match="not finite"):
+            load_mesh(path)
+
+
+def test_partially_tagged_mesh_is_float():
+    # one exact and one float element: the mesh, its plan keys and its
+    # file drop the partial tags
+    left = element_from_pi([Fraction(-1, 2)], [Fraction(1, 2)])
+    right = Element(np.array([math.pi / 2]), np.array([math.pi / 2]))
+    mesh = Mesh(1, 2, [left, right])
+    assert not mesh.rational and mesh.A is None and mesh.L is None
+    assert all(not e.rational for e in mesh.elements)
+    data = mesh_to_dict(mesh)
+    assert all("a_over_pi" not in e for e in data["elements"])
+    assert mesh_from_dict(data) == mesh
+
+
+def test_exact_geometry_stays_in_lowest_terms():
+    mesh = uniform_mesh(2, 4, 1)
+    assert mesh.L == 4 and mesh.A.dtype == np.int64
+    for flags in ([0, 5], [2], []):
+        mesh = refine(mesh, flags)
+        denominators = {f.denominator for e in mesh.elements for f in e.a_pi + e.h_pi}
+        assert mesh.L == math.lcm(*denominators)
+        assert np.array_equal(mesh.a, mesh.A * math.pi / mesh.L)
+    assert mesh.L == 16
+    # past int64 the integers are Python ints, and refinement stays exact
+    b = Fraction(1, 3 ** 40)
+    wide = Mesh(1, 1, [element_from_pi([(b - 1) / 2], [(b + 1) / 2]),
+                       element_from_pi([(b + 1) / 2], [(1 - b) / 2])])
+    fine = refine(wide, [0, 1])
+    assert wide.A.dtype == object and fine.A.dtype == object
+    assert fine.elements[1].a_pi == ((3 * b - 1) / 4,)
+
+
+def _bisect_oracle(mesh, flags):
+    """Children element by element: Fraction tags, or halved floats."""
+    signs = [np.array(s) for s in np.ndindex(*(2,) * mesh.d)]
+    out = []
+    for k, e in enumerate(mesh.elements):
+        if k not in flags:
+            out.append(e)
+            continue
+        for s in signs:
+            sgn = 2 * s[::-1] - 1  # axis 1 fastest
+            if e.rational:
+                half = [h / 2 for h in e.h_pi]
+                out.append(element_from_pi([c + int(g) * hh for c, g, hh in
+                                            zip(e.a_pi, sgn, half)], half))
+            else:
+                out.append(Element(e.a + sgn * 0.5 * e.hdiag, 0.5 * e.hdiag))
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_refine_matches_per_element_bisection(d):
+    exact = refine(uniform_mesh(d, 2, 1), [0])
+    floats = Mesh(d, 1, [Element(e.a, e.hdiag) for e in exact.elements])
+    for mesh in (exact, floats):
+        flags = [0, mesh.K - 1]
+        got, expect = refine(mesh, flags), _bisect_oracle(mesh, flags)
+        assert len(got.elements) == len(expect)
+        for g, e in zip(got.elements, expect):
+            assert np.array_equal(g.a, e.a) and np.array_equal(g.hdiag, e.hdiag)
+            assert (g.a_pi, g.h_pi) == (e.a_pi, e.h_pi)
+
+
+def test_batched_indicator_matches_per_element_modal_tensors():
+    mesh = refine(uniform_mesh(2, 3, 4), [4])
+    rng = np.random.default_rng(13)
+    field = NodalField(mesh, rng.uniform(-1, 1, (mesh.K, 25, 2)))
+    table = legendre_coeffs(gll_rule(4))
+    expect = []
+    for k in range(mesh.K):
+        modal = nodal_to_modal(table, field.values[k], 2)
+        expect.append(max(np.max(np.sqrt(np.mean(np.square(
+            np.take(modal, 4, axis=1 - t).reshape(-1, 2)), axis=0))) for t in range(2)))
+    np.testing.assert_allclose(element_indicator(field), expect, rtol=1e-14, atol=0)

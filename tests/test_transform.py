@@ -1,5 +1,6 @@
 """Exact transform: algebraic identities, symmetries, and a quadrature oracle."""
 
+import cmath
 import math
 from fractions import Fraction
 
@@ -7,7 +8,10 @@ import numpy as np
 import pytest
 
 from semfourier.gll import gll_rule, interp_matrix, legendre_coeffs
+from semfourier.bessel import bessel_column
 from semfourier.mesh import (
+    Element,
+    Mesh,
     NodalField,
     element_from_pi,
     refine,
@@ -308,3 +312,42 @@ def test_spectrum_csv_round_trip(tmp_path):
     assert np.array_equal(back.values, spec.values)
     header = path.read_text().splitlines()[0]
     assert header == "q1,q2,component,re,im,abs"
+
+
+def _axis_table_oracle(mesh, t, q_axis, table):
+    """F[k, m, j] by one Bessel column per (element, q_t): exact Fraction
+    arguments on tagged elements, float products otherwise."""
+    ip = ipow_neg(table.degree)
+    out = np.empty((mesh.K, len(q_axis), table.degree + 1), dtype=complex)
+    for k, e in enumerate(mesh.elements):
+        for m, q in enumerate(q_axis):
+            r = float(q * e.h_pi[t]) * math.pi if e.rational else float(q) * float(e.hdiag[t])
+            s = np.einsum("jp,p->j", table.coeffs, ip * bessel_column(r, table.degree))
+            out[k, m] = cmath.exp(-1j * (q * e.a[t])) * s
+    return out
+
+
+def _float_copy(mesh):
+    return Mesh(mesh.d, mesh.P, [Element(e.a, e.hdiag) for e in mesh.elements])
+
+
+def _int64_overflow_mesh():
+    # L = 2^60 fits int64, but q H reaches 2^63 for |q| >= 16
+    b = Fraction(1, 2 ** 59)
+    return Mesh(1, 3, [element_from_pi([(b - 1) / 2], [(b + 1) / 2]),
+                       element_from_pi([(b + 1) / 2], [(1 - b) / 2])])
+
+
+@pytest.mark.parametrize("mesh,qmax", [
+    (refine(uniform_mesh(2, 4, 3), [1, 6, 11]), 3),
+    (refine(uniform_mesh(3, 2, 2), [0, 7]), 2),
+    (_float_copy(refine(uniform_mesh(2, 2, 2), [3])), 3),
+    (_int64_overflow_mesh(), 40),
+], ids=["2d", "3d", "float", "int64-overflow"])
+def test_plan_tables_match_per_element_loop_bitwise(mesh, qmax):
+    plan = _plan_for(mesh, qmax=qmax)
+    for t, q_axis in enumerate(plan.waves.axis_index[0]):
+        expect = _axis_table_oracle(mesh, t, q_axis.tolist(), plan.table)
+        assert np.array_equal(plan.factors[t], expect)
+    volume = np.array([e.det_h for e in mesh.elements]) / math.pi ** mesh.d
+    assert np.array_equal(plan.weight, volume)

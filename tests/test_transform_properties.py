@@ -1,0 +1,144 @@
+"""Transform properties on random dyadic meshes (Hypothesis).
+
+Each example is a uniform 1-3D mesh refined by a few random bisection
+passes, so it mixes element sizes and hanging nodes. The checks are the
+algebraic identities of the exact transform; none depends on how the
+plan or the mesh stores its geometry.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from numpy.polynomial.legendre import legvander
+
+from semfourier.gll import gll_rule, legendre_coeffs
+from semfourier.mesh import Mesh, NodalField, refine, sample_field, uniform_mesh
+from semfourier.transform import WaveSet, build_plan, phi_hat, transform
+
+_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None,
+                     suppress_health_check=[HealthCheck.too_slow])
+# Rounding bound, relative to the largest nodal value: the coefficients of
+# an interpolant are at most a small multiple of it.
+_TOL = 1e-12
+
+
+def _refine_randomly(draw, mesh):
+    for _ in range(draw(st.integers(0, 2))):
+        mesh = refine(mesh, draw(st.lists(st.integers(0, mesh.K - 1),
+                                          max_size=3, unique=True)))
+    return mesh
+
+
+@st.composite
+def _cases(draw, uniform=False):
+    """(mesh, waves, rng): a dyadic mesh, a box wave set, a seeded rng."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.sampled_from((1, 2, 4) if d < 3 else (1, 2)))
+    P = draw(st.integers(1, 4 if d < 3 else 2))
+    mesh = uniform_mesh(d, n, P)
+    if not uniform:
+        mesh = _refine_randomly(draw, mesh)
+    waves = WaveSet.box(d, draw(st.integers(0, 3 if d < 3 else 2)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return mesh, waves, rng
+
+
+def _plan(mesh, waves):
+    rule = gll_rule(mesh.P)
+    return build_plan(mesh, rule, legendre_coeffs(rule), waves)
+
+
+def _random_field(mesh, rng, C=1):
+    return NodalField(mesh, rng.uniform(-1, 1, (mesh.K, mesh.nodes_per_element, C)))
+
+
+def _polynomial(coeffs):
+    """Global polynomial sum_p coeffs[p] prod_t L_{p_t}(x_t / pi)."""
+    d, P = coeffs.ndim, coeffs.shape[0] - 1
+    letters = "abc"[:d]
+    spec = ",".join(f"n{c}" for c in letters) + f",{letters}->n"
+    return lambda X: np.einsum(spec, *[legvander(X[:, t] / math.pi, P) for t in range(d)],
+                               coeffs)
+
+
+@_SETTINGS
+@given(_cases(), st.floats(-4, 4), st.floats(-4, 4))
+def test_transform_is_linear(case, alpha, beta):
+    mesh, waves, rng = case
+    plan = _plan(mesh, waves)
+    u, v = _random_field(mesh, rng, 2), _random_field(mesh, rng, 2)
+    w = NodalField(mesh, alpha * u.values + beta * v.values)
+    su, sv, sw = (transform(f, plan).values for f in (u, v, w))
+    scale = abs(alpha) + abs(beta) + 1.0
+    assert np.max(np.abs(sw - (alpha * su + beta * sv)), initial=0.0) <= _TOL * scale
+
+
+@_SETTINGS
+@given(_cases(uniform=True), st.data())
+def test_refinement_keeps_polynomial_spectra(case, data):
+    # a global polynomial of degree <= P per axis is reproduced exactly on
+    # any refinement, so its coefficients cannot move beyond rounding
+    mesh, waves, rng = case
+    fine = _refine_randomly(data.draw, refine(mesh, [int(rng.integers(mesh.K))]))
+    f = _polynomial(rng.uniform(-1, 1, (mesh.P + 1,) * mesh.d))
+    rule = gll_rule(mesh.P)
+    coarse_u, fine_u = sample_field(mesh, rule, f), sample_field(fine, rule, f)
+    scale = max(np.max(np.abs(coarse_u.values)), 1.0)
+    gap = transform(coarse_u, _plan(mesh, waves)).values - transform(fine_u, _plan(fine, waves)).values
+    assert np.max(np.abs(gap)) <= _TOL * scale
+
+
+@_SETTINGS
+@given(_cases(uniform=True))
+def test_one_element_shift_multiplies_by_phase(case):
+    # rolling the nodal blocks of a uniform n^d mesh by one element along
+    # every axis translates the interpolant by s = (2 pi / n, ..., 2 pi / n)
+    mesh, waves, rng = case
+    n, d = round(mesh.K ** (1 / mesh.d)), mesh.d
+    u = _random_field(mesh, rng)
+    blocks = u.values.reshape((n,) * d + u.values.shape[1:])
+    shifted = NodalField(mesh, np.roll(blocks, 1, axis=tuple(range(d))).reshape(u.values.shape))
+    plan = _plan(mesh, waves)
+    su, ss = transform(u, plan).values, transform(shifted, plan).values
+    q = np.array(waves.qs, dtype=float).reshape(len(waves), d)
+    phase = np.exp(-1j * (2 * math.pi / n) * q.sum(axis=1))
+    assert np.max(np.abs(ss - phase[:, None] * su)) <= _TOL
+
+
+@_SETTINGS
+@given(_cases())
+def test_real_fields_have_conjugate_symmetric_spectra(case):
+    mesh, waves, rng = case
+    spec = transform(_random_field(mesh, rng, 2), _plan(mesh, waves))
+    assert spec.conjugate_symmetry_error() <= _TOL
+
+
+@_SETTINGS
+@given(_cases())
+def test_compensated_sum_and_phi_hat_agree_with_plan(case):
+    mesh, waves, rng = case
+    plan = _plan(mesh, waves)
+    u = _random_field(mesh, rng, 2)
+    plain, comp = transform(u, plan).values, transform(u, plan, compensated=True).values
+    assert np.max(np.abs(plain - comp)) <= _TOL
+    n = mesh.P + 1
+    for _ in range(5):
+        qi, k = int(rng.integers(len(waves))), int(rng.integers(mesh.K))
+        j = [int(v) for v in rng.integers(n, size=mesh.d)]
+        j_flat = sum(jt * n ** t for t, jt in enumerate(j))
+        assert plan.basis_coefficient(qi, k, j_flat) == phi_hat(
+            plan.rule, plan.table, mesh.elements[k], j, waves.qs[qi])
+
+
+@_SETTINGS
+@given(_cases())
+def test_mesh_rebuilt_from_its_elements_is_equal(case):
+    mesh, waves, _ = case
+    again = Mesh(mesh.d, mesh.P, mesh.elements)
+    assert again == mesh and again.K == mesh.K
+    plan, plan_again = _plan(mesh, waves), _plan(again, waves)
+    for F, G in zip(plan.factors, plan_again.factors):
+        assert np.array_equal(F, G)
+    assert np.array_equal(plan.weight, plan_again.weight)
