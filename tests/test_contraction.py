@@ -1,0 +1,199 @@
+"""The element contraction of box wave sets, and the spectrum's text and
+symmetry checks: blocking, memory, thread-count determinism, and the
+per-row loops they replaced, kept here as oracles."""
+
+import importlib
+import os
+import subprocess
+import sys
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import semfourier
+from semfourier.gll import gll_rule, legendre_coeffs
+from semfourier.mesh import NodalField, refine, uniform_mesh
+from semfourier.transform import (
+    Spectrum,
+    WaveSet,
+    build_plan,
+    contract_waves,
+    spectrum_csv_text,
+    transform,
+)
+
+T = importlib.import_module("semfourier.transform")
+EPS = np.finfo(float).eps
+
+
+def _plan(mesh, waves):
+    rule = gll_rule(mesh.P)
+    return build_plan(mesh, rule, legendre_coeffs(rule), waves)
+
+
+def _field(mesh, C, seed):
+    rng = np.random.default_rng(seed)
+    return NodalField(mesh, rng.uniform(-1, 1, (mesh.K, mesh.nodes_per_element, C)))
+
+
+@pytest.mark.parametrize("mesh,qmax", [
+    (refine(uniform_mesh(1, 5, 4), [0, 3]), 9),
+    (refine(uniform_mesh(2, 4, 3), [1, 6]), 4),
+    (refine(uniform_mesh(3, 2, 2), [0, 5]), 3),
+], ids=["1d", "2d", "3d"])
+def test_element_block_size_does_not_change_results(mesh, qmax, monkeypatch):
+    plan = _plan(mesh, WaveSet.box(mesh.d, qmax))
+    field = _field(mesh, 2, 61)
+    default = transform(field, plan).values
+    # the wave product, C * m^d, is each element's largest intermediate here
+    per_element = 2 * max(len(v) for v in plan.waves.axis_index[0]) ** mesh.d
+    # caps of one value (one element per block) and of three elements,
+    # which does not divide K
+    assert mesh.K % 3
+    for cap in (1, 3 * per_element):
+        monkeypatch.setattr(T, "_VALUE_BLOCK", cap)
+        got = transform(field, plan).values
+        assert np.max(np.abs(got - default)) <= 8 * EPS * np.max(np.abs(default))
+
+
+def test_box_contraction_memory_is_capped_by_the_block():
+    # 3D, K=512, P=3, |q_t| <= 8: the prefix path would gather
+    # K x 17^2 x 4 complex rows (9.5 MB) in its last step
+    mesh = uniform_mesh(3, 8, 3)
+    waves = WaveSet.box(3, 8)
+    plan = _plan(mesh, waves)
+    values = _field(mesh, 1, 67).values
+    contract_waves(values, plan.factors, plan.weight, waves)
+    tracemalloc.start()
+    try:
+        contract_waves(values, plan.factors, plan.weight, waves)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    gather = mesh.K * 17 ** 2 * 4 * 16
+    # at most three block intermediates of the larger of the cap and one
+    # element's values, plus the summed spectrum, its reordered copy, the
+    # result and its index
+    block = max(T._VALUE_BLOCK, len(waves)) * 16
+    bound = 3 * block + 4 * len(waves) * 16
+    assert peak <= bound
+    assert gather >= 8 * bound
+
+
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+_DIGEST_SCRIPT = """
+import hashlib
+import numpy as np
+from semfourier.cubature import TrigGrid, cubature_transform
+from semfourier.gll import gll_rule, legendre_coeffs
+from semfourier.mesh import NodalField, refine, uniform_mesh
+from semfourier.transform import WaveSet, build_plan, transform
+mesh = refine(uniform_mesh(3, 4, 5), [0, 9, 30, 63])
+rule = gll_rule(5)
+waves = WaveSet.box(3, 6)
+values = np.random.default_rng(71).uniform(-1, 1, (mesh.K, 216, 3))
+field = NodalField(mesh, values)
+spec = transform(field, build_plan(mesh, rule, legendre_coeffs(rule), waves))
+cub = cubature_transform(field, TrigGrid(3, 24), waves)
+print(hashlib.sha256(spec.values.tobytes() + cub.values.tobytes()).hexdigest())
+"""
+
+
+def test_transform_is_bitwise_equal_across_blas_thread_counts(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(semfourier.__file__)))
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env.update({name: threads for name in _THREAD_VARS})
+        proc = subprocess.run([sys.executable, "-c", _DIGEST_SCRIPT], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
+
+
+def _csv_oracle(spectrum, extra_col=None):
+    """The per-row formatting loop over numpy scalars."""
+    fmt = lambda x: format(float(x), ".17g")  # noqa: E731
+    d = spectrum.waves.d
+    header = [f"q{t + 1}" for t in range(d)] + ["component", "re", "im", "abs"]
+    if extra_col is not None:
+        header.append(extra_col[0])
+    order = sorted(range(len(spectrum.waves)), key=lambda i: spectrum.waves.qs[i])
+    lines = [",".join(header)]
+    for i in order:
+        q = spectrum.waves.qs[i]
+        for c in range(spectrum.components):
+            v = spectrum.values[i, c]
+            row = [str(int(t)) for t in q] + [str(c), fmt(v.real), fmt(v.imag), fmt(abs(v))]
+            if extra_col is not None:
+                row.append(str(extra_col[1]))
+            lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+def _wild_values(rng, shape):
+    """Complex values spanning exponents +-300, with zeros, -0.0, inf,
+    nan and one magnitude past the largest float."""
+    mant = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    scale = 10.0 ** rng.integers(-300, 301, shape)
+    out = (mant * scale).ravel()
+    special = [0.0, complex(-0.0, 0.0), complex(0.0, -0.0), complex(np.inf, 1.0),
+               complex(np.nan, -2.0), complex(1.5e308, -1.5e308)][:out.size]
+    out[:len(special)] = special
+    return out.reshape(shape)
+
+
+@pytest.mark.parametrize("extra_col", [None, ("M", 64)])
+def test_spectrum_csv_matches_per_row_loop(extra_col):
+    rng = np.random.default_rng(73)
+    box = WaveSet.box(3, 2)
+    scattered = WaveSet.from_list([(2, -1), (-3, 0), (0, 0), (1, 5), (-2, -2)])
+    for waves, C in ((box, 3), (scattered, 1), (WaveSet(2, ()), 2)):
+        for values in (rng.standard_normal((len(waves), C)).astype(complex),
+                       _wild_values(rng, (len(waves), C))):
+            spec = Spectrum(waves, values)
+            with np.errstate(over="ignore", invalid="ignore"):
+                expect = _csv_oracle(spec, extra_col)
+            assert spectrum_csv_text(spec, extra_col) == expect
+
+
+def _symmetry_oracle(spectrum):
+    """The per-wave loop over the set's dict."""
+    worst = 0.0
+    for i, q in enumerate(spectrum.waves.qs):
+        neg = tuple(-c for c in q)
+        if neg in spectrum.waves:
+            j = spectrum.waves.index(neg)
+            gap = np.max(np.abs(spectrum.values[j] - np.conj(spectrum.values[i])))
+            worst = max(worst, float(gap))
+    return worst
+
+
+@pytest.mark.parametrize("waves", [
+    WaveSet.box(1, 4),
+    WaveSet.box(2, 3),
+    WaveSet.box(3, 2),
+    WaveSet.from_list([(1, 2), (-1, -2), (3, 0), (0, 0), (2, -5), (-3, 0), (4, 4)]),
+    WaveSet.from_list([(1, 1, 1), (2, 0, -1), (-2, 0, 1), (0, 3, 0)]),
+    WaveSet.from_list([(5,), (-4,), (3,)]),
+    WaveSet(2, ()),
+], ids=["box1", "box2", "box3", "scattered2", "scattered3", "no-pairs", "empty"])
+def test_conjugate_symmetry_error_matches_per_wave_loop(waves):
+    rng = np.random.default_rng(79)
+    values = rng.standard_normal((len(waves), 2)) + 1j * rng.standard_normal((len(waves), 2))
+    spec = Spectrum(waves, values)
+    assert spec.conjugate_symmetry_error() == _symmetry_oracle(spec)
+
+
+def test_shuffled_box_takes_the_product_and_keeps_wave_order():
+    mesh = refine(uniform_mesh(2, 2, 3), [2])
+    box = WaveSet.box(2, 3)
+    order = np.random.default_rng(83).permutation(len(box))
+    shuffled = WaveSet(2, tuple(box.qs[i] for i in order))
+    field = _field(mesh, 2, 89)
+    ref = transform(field, _plan(mesh, box)).values
+    got = transform(field, _plan(mesh, shuffled)).values
+    assert np.max(np.abs(got - ref[order])) <= 8 * EPS * np.max(np.abs(ref))

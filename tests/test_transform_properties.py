@@ -9,7 +9,7 @@ plan or the mesh stores its geometry.
 import math
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.legendre import legvander
 
@@ -142,3 +142,26 @@ def test_mesh_rebuilt_from_its_elements_is_equal(case):
     for F, G in zip(plan.factors, plan_again.factors):
         assert np.array_equal(F, G)
     assert np.array_equal(plan.weight, plan_again.weight)
+
+
+@_SETTINGS
+@given(_cases(), st.data())
+def test_wave_subset_matches_box_spectrum(case, data):
+    # a subset that holds both corners (-qmax, ..) and (qmax, ..) but not
+    # (qmax, -qmax, ..) is not the product of its per-axis values, so it
+    # takes the per-prefix contraction while the box takes the product
+    mesh, box, rng = case
+    d, qmax = mesh.d, box.qs[-1][0]
+    assume(d > 1 and qmax > 0)
+    low, high = box.qs[0], box.qs[-1]
+    mixed = (qmax,) + (-qmax,) * (d - 1)
+    rest = [q for q in box.qs if q not in (low, high, mixed)]
+    picked = data.draw(st.lists(st.sampled_from(rest), unique=True))
+    qs = [low, high] + picked
+    subset = WaveSet(d, tuple(qs[i] for i in rng.permutation(len(qs))))
+    assert len(subset) < np.prod([len(v) for v in subset.axis_index[0]])
+    u = _random_field(mesh, rng, 2)
+    full = transform(u, _plan(mesh, box))
+    part = transform(u, _plan(mesh, subset)).values
+    expect = np.array([full.get(q) for q in subset.qs])
+    assert np.max(np.abs(part - expect)) <= _TOL
