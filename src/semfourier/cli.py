@@ -108,18 +108,26 @@ def _write_field_path(field, path: str) -> None:
 
 
 def _waves_from_args(args, d: int) -> WaveSet:
-    if getattr(args, "qlist", None):
-        qs = []
-        with open(args.qlist) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
+    if args.qlist is None:
+        return WaveSet.box(d, args.qmax)
+    qs = []
+    with open(args.qlist) as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            try:
                 qs.append(tuple(int(t) for t in line.replace(",", " ").split()))
-        return WaveSet(d, tuple(qs))
-    if args.qmax is None:
-        raise SystemExit("need --qmax or --qlist")
-    return WaveSet.box(d, args.qmax)
+            except ValueError:
+                raise ValueError(f"{args.qlist}, line {lineno}: "
+                                 f"not an integer wavevector: {line!r}") from None
+    return WaveSet(d, tuple(qs))
+
+
+def _add_wave_options(p: argparse.ArgumentParser) -> None:
+    waves = p.add_mutually_exclusive_group(required=True)
+    waves.add_argument("--qmax", type=int, help="all q with |q_t| <= QMAX")
+    waves.add_argument("--qlist", help="file of wavevectors, one per line")
 
 
 # Functions an --expr may call (one argument each), and its constants.
@@ -367,8 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("transform", help="exact global Fourier coefficients")
     p.add_argument("--mesh", required=True)
     p.add_argument("--field", required=True)
-    p.add_argument("--qmax", type=int)
-    p.add_argument("--qlist", help="file of wavevectors, one per line")
+    _add_wave_options(p)
     p.add_argument("--compensated", action="store_true",
                    help="exactly rounded accumulation instead of plain order")
     p.add_argument("--out")
@@ -378,8 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mesh", required=True)
     p.add_argument("--field", required=True)
     p.add_argument("--M", type=int, required=True)
-    p.add_argument("--qmax", type=int)
-    p.add_argument("--qlist")
+    _add_wave_options(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_cubature)
 

@@ -12,13 +12,11 @@ spherical Bessel column. A TransformPlan keeps one table F_t per axis over
 the distinct q_t of its wave set, built from the mesh's (K, d) geometry
 arrays; on exact meshes the Bessel arguments are the integers q_t H[k, t]
 over one denominator, so repeated arguments are recognized exactly and
-share one column. ``contract_waves`` sums
-phi_hat * u by sum factorization in a fixed order (axis 1, then axes
-2..d, then elements), so results are reproducible to the bit. A wave set
-that is the full product of its per-axis values, as every box is, is
-contracted densely: one element-batched matmul per axis, over element
-blocks of bounded memory. Any other wave list is contracted once per
-distinct wave prefix, so it never grows into its bounding box.
+share one column. ``contract_waves`` sums phi_hat * u over element
+blocks of bounded memory in a fixed order, so results are reproducible to
+the bit: by sum factorization over the grid of per-axis values for a box
+or any list dense in that grid, and wave by wave from the phi_hat rows
+that ``transform(compensated=True)`` also uses for any other list.
 """
 
 from __future__ import annotations
@@ -27,6 +25,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
+from numbers import Integral
 
 import numpy as np
 
@@ -74,7 +73,9 @@ class WaveSet:
 
     @classmethod
     def from_list(cls, qs) -> "WaveSet":
-        tup = tuple(tuple(int(c) for c in q) for q in qs)
+        """The listed wavevectors; numpy integers become ints, and any other
+        non-integer component is rejected as by the constructor."""
+        tup = tuple(tuple(int(c) if isinstance(c, Integral) else c for c in q) for q in qs)
         if not tup:
             raise ValueError("empty wavevector list needs an explicit dimension")
         return cls(len(tup[0]), tup)
@@ -190,27 +191,24 @@ def contract_waves(values: np.ndarray, factors, weight: np.ndarray,
 
     values has shape (K, n^d, C), axis 1 fastest within a block; factors[t]
     has shape (K, m_t, n), row m for the m-th distinct q_t of ``waves``
-    (``waves.axis_index``). Axis 1 is contracted first, then axes 2..d, and
-    the weighted elements are then summed in a fixed order. Returns shape
-    (len(waves), C), in wave order.
+    (``waves.axis_index``). Returns shape (len(waves), C), in wave order.
 
-    A nonempty wave set that is the full product of its per-axis values
-    (``len(waves) == prod_t m_t``, as for every box) takes the dense path,
-    ``_contract_product``: per block of elements, one element-batched
-    matmul per axis, O(K C sum_t m_1..m_t n^(d-t+1)) flops, with memory
-    capped by ``_VALUE_BLOCK`` whatever K. Any other set takes the prefix
-    path, ``_contract_prefixes``: axis t once per distinct prefix
-    (q_1..q_t), so a sparse list never grows into its bounding box, at one
-    small matmul per (prefix, element) and gathered rows of size
-    K x prefixes x n^(d-t) C.
+    Elements are summed in a fixed order, in blocks whose memory
+    ``_VALUE_BLOCK`` caps whatever K. ``_contract_product`` contracts the
+    grid of per-axis values, one element-batched matmul per axis; its last
+    axis dominates, at prod_t m_t n C flops per element. ``_contract_rows``
+    costs at least len(waves) n^d C. So a set with ``prod_t m_t <=
+    len(waves) n^(d-1)`` takes the product, as every box and full product
+    does, and any other list the rows.
     """
     axis_values, m = waves.axis_index
-    if 0 < len(waves) == math.prod(len(v) for v in axis_values):
+    d, n = len(factors), factors[0].shape[2]
+    if math.prod(len(v) for v in axis_values) <= len(waves) * n ** (d - 1):
         return _contract_product(values, factors, weight, m)
-    return _contract_prefixes(values, factors, weight, m)
+    return _contract_rows(values, factors, weight, m)
 
 
-# Cap on the complex values one element block of ``_contract_product``
+# Cap on the complex values one element block of either contraction path
 # holds per intermediate array; a block holds at least one element. At
 # 2^13 (128 KiB) the intermediates stay under the C allocator's default
 # mmap threshold, so blocks reuse heap memory: larger blocks measured up to
@@ -254,24 +252,26 @@ def _contract_product(values, factors, weight, m):
     return rows[np.ravel_multi_index(tuple(m.T), sizes)]
 
 
-def _contract_prefixes(values, factors, weight, m):
-    """``contract_waves`` once per distinct wave prefix (q_1..q_t).
+def _contract_rows(values, factors, weight, m):
+    """``contract_waves`` one wave at a time from its phi_hat rows, over
+    element blocks of _VALUE_BLOCK // n^d whose sums are added in block
+    order, so as in ``_contract_product`` no BLAS call reduces over elements."""
+    K, N, C = values.shape
+    B = max(1, _VALUE_BLOCK // N)
+    out = np.zeros((len(m), C), dtype=complex)
+    for i, lo in product(range(len(m)), range(0, K, B)):
+        rows = _wave_rows(factors, weight, m[i], slice(lo, lo + B))
+        out[i] += (rows[:, None, :] @ values[lo:lo + B])[:, 0].sum(axis=0)
+    return out
 
-    Weighted elements are added one by one in index order.
-    """
-    K, _, C = values.shape
-    d, n = len(factors), factors[0].shape[2]
-    # (k, j_d .. j_1, c) -> (k, j_1 .. j_d, c) behind one empty prefix
-    order = (0,) + tuple(range(d, 0, -1)) + (d + 1,)
-    G = values.reshape((K,) + (n,) * d + (C,)).transpose(order).reshape(K, 1, -1)
-    parent = np.zeros(len(m), dtype=np.intp)
-    for t in range(d):
-        prefixes, first, inv = np.unique(m[:, : t + 1], axis=0,
-                                         return_index=True, return_inverse=True)
-        rows = G[:, parent[first]].reshape(K, len(first), n, G.shape[2] // n)
-        G = (factors[t][:, prefixes[:, t], None, :] @ rows)[:, :, 0]
-        parent = inv.reshape(-1)
-    return sum(w * g for w, g in zip(weight, G))[parent]
+
+def _wave_rows(factors, weight, m, k):
+    """phi_hat rows of the wave with table rows m for elements k, axis 1
+    fastest, shape (elements, n^d)."""
+    rows = weight[k, None] * factors[0][k, m[0]]
+    for t in range(1, len(m)):
+        rows = (factors[t][k, m[t], :, None] * rows[:, None, :]).reshape(len(rows), -1)
+    return rows
 
 
 class TransformPlan:
@@ -345,9 +345,8 @@ def transform(field: NodalField, plan: TransformPlan,
               compensated: bool = False) -> Spectrum:
     """Global Fourier coefficients of a nodal field.
 
-    ``contract_waves`` applies the plan's per-axis tables in a fixed order:
-    axis 1, then axes 2..d, then the weighted sum over elements in a fixed
-    order, so results are reproducible to the bit. With
+    ``contract_waves`` sums the weighted elements in a fixed order, so
+    results are reproducible to the bit. With
     ``compensated=True`` every product phi_hat * u enters an exactly
     rounded sum instead (order-insensitive, for cross-checking).
 
@@ -359,18 +358,12 @@ def transform(field: NodalField, plan: TransformPlan,
     if not compensated:
         return Spectrum(plan.waves, contract_waves(
             field.values, plan.factors, plan.weight, plan.waves))
-    K, _, C = field.values.shape
+    C = field.values.shape[2]
     out = np.empty((len(plan.waves), C), dtype=complex)
     for qi, m in enumerate(plan.waves.axis_index[1]):
-        # phi_hat rows of wave qi for all elements, axis 1 fastest
-        rows = plan.weight[:, None] * plan.factors[0][:, m[0]]
-        for t in range(1, len(m)):
-            rows = (plan.factors[t][:, m[t], :, None] * rows[:, None, :]).reshape(K, -1)
+        rows = _wave_rows(plan.factors, plan.weight, m, slice(None))
         prods = (rows[:, :, None] * field.values).reshape(-1, C)
-        out[qi] = [
-            complex(math.fsum(prods[:, c].real), math.fsum(prods[:, c].imag))
-            for c in range(C)
-        ]
+        out[qi] = [complex(math.fsum(p.real), math.fsum(p.imag)) for p in prods.T]
     return Spectrum(plan.waves, out)
 
 
@@ -430,23 +423,25 @@ def write_spectrum_csv(spectrum: Spectrum, path, extra_col=None) -> None:
 
 
 def read_spectrum_csv(path) -> Spectrum:
-    """Read a spectrum CSV produced by ``write_spectrum_csv``."""
+    """Read a spectrum CSV produced by ``write_spectrum_csv``; a file without
+    rows, with a repeated (q, component) row or a missing component fails."""
     with open(path) as fh:
         rows = [line.strip() for line in fh if line.strip()]
+    if len(rows) < 2:
+        raise ValueError(f"{path}: no spectrum rows")
     header = rows[0].split(",")
     d = sum(1 for name in header if name.startswith("q") and name[1:].isdigit())
     ic, ire, iim = header.index("component"), header.index("re"), header.index("im")
     data: dict[tuple, dict[int, complex]] = {}
     for line in rows[1:]:
         parts = line.split(",")
-        q = tuple(int(parts[t]) for t in range(d))
-        data.setdefault(q, {})[int(parts[ic])] = complex(
-            float(parts[ire]), float(parts[iim])
-        )
-    qs = list(data.keys())
+        q, c = tuple(int(parts[t]) for t in range(d)), int(parts[ic])
+        if c in data.setdefault(q, {}):
+            raise ValueError(f"{path}: repeated row for q={q}, component {c}")
+        data[q][c] = complex(float(parts[ire]), float(parts[iim]))
     C = max(max(comp) for comp in data.values()) + 1
-    values = np.zeros((len(qs), C), dtype=complex)
-    for i, q in enumerate(qs):
-        for c, v in data[q].items():
-            values[i, c] = v
-    return Spectrum(WaveSet(d, tuple(qs)), values)
+    for q, comp in data.items():
+        if sorted(comp) != list(range(C)):
+            raise ValueError(f"{path}: q={q} lacks some of components 0..{C - 1}")
+    values = np.array([[comp[c] for c in range(C)] for comp in data.values()], dtype=complex)
+    return Spectrum(WaveSet(d, tuple(data)), values)

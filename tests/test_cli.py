@@ -132,6 +132,41 @@ def test_qlist_file_selects_waves(tmp_path):
     assert set(got.waves.qs) == {(1, 1), (-2, 0)}
 
 
+@pytest.mark.parametrize("command", [["transform"], ["cubature", "--M", "8"]],
+                         ids=["transform", "cubature"])
+@pytest.mark.parametrize("waves,message", [
+    (["--qmax", "2", "--qlist", "qs.txt"], "not allowed with argument"),
+    ([], "one of the arguments --qmax --qlist is required"),
+], ids=["both", "neither"])
+def test_qmax_and_qlist_exclude_each_other(tmp_path, capsys, command, waves, message):
+    argv = command + ["--mesh", "m.json", "--field", "f.bin", "--out",
+                      str(tmp_path / "out.csv")] + waves
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2 and message in capsys.readouterr().err
+
+
+def test_malformed_qlist_names_file_and_line(tmp_path, capsys):
+    mesh = uniform_mesh(2, 2, 2)
+    mesh_path, field_path = str(tmp_path / "mesh.json"), str(tmp_path / "field.bin")
+    save_mesh(mesh, mesh_path)
+    write_field(sample_field(mesh, gll_rule(2), lambda X: X[:, 0]), field_path)
+    qlist, out = tmp_path / "qs.txt", str(tmp_path / "spec.csv")
+    qlist.write_text("# waves\n1 1\n1 2.5\n")
+    for command in (["transform"], ["cubature", "--M", "8"]):
+        code = main(command + ["--mesh", mesh_path, "--field", field_path,
+                               "--qlist", str(qlist), "--out", out])
+        err = capsys.readouterr().err
+        assert code == 1 and f"{qlist}, line 3:" in err and "'1 2.5'" in err
+    # a list of comments only gives a header-only CSV, which decay refuses
+    qlist.write_text("# no waves\n")
+    assert main(["transform", "--mesh", mesh_path, "--field", field_path,
+                 "--qlist", str(qlist), "--out", out]) == 0
+    assert main(["decay", "--spectrum", out, "--direction", "1,0",
+                 "--out", str(tmp_path / "profile.csv")]) == 1
+    assert f"{out}: no spectrum rows" in capsys.readouterr().err
+
+
 def test_cubature_csv_carries_grid_size(tmp_path):
     mesh_path = tmp_path / "mesh.json"
     field_path = tmp_path / "field.bin"

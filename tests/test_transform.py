@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -273,7 +274,12 @@ def test_waveset_construction_rules():
         WaveSet.box(1, -1)
     with pytest.raises(ValueError):
         WaveSet.from_list([])
-    ws = WaveSet.from_list([(3, -2), (0, 1)])
+    ws = WaveSet.from_list([(3, -2), (np.int64(0), np.int32(1))])
+    assert ws.qs == ((3, -2), (0, 1)) and all(type(c) is int for q in ws.qs for c in q)
+    with pytest.raises(ValueError, match=r"wavevector \(1\.5, 2\.9\) has non-integer"):
+        WaveSet.from_list([(1, 2), (1.5, 2.9)])
+    with pytest.raises(ValueError, match="non-integer"):
+        WaveSet.from_list([(np.float64(2.0),)])
     assert ws.d == 2 and ws.index((0, 1)) == 1
     assert (0, 1) in ws and (1, 0) not in ws
     with pytest.raises(ValueError, match="not in the wave set"):
@@ -312,6 +318,18 @@ def test_spectrum_csv_round_trip(tmp_path):
     assert np.array_equal(back.values, spec.values)
     header = path.read_text().splitlines()[0]
     assert header == "q1,q2,component,re,im,abs"
+
+
+@pytest.mark.parametrize("body,message", [
+    ("", "no spectrum rows"),
+    ("1,0,1,0,1\n1,0,2,0,2\n", "repeated row for q=(1,), component 0"),
+    ("1,0,1,0,1\n1,1,1,0,1\n2,1,1,0,1\n", "q=(2,) lacks some of components 0..1"),
+], ids=["header-only", "repeated", "missing-component"])
+def test_read_spectrum_csv_rejects_malformed_files(tmp_path, body, message):
+    path = tmp_path / "spec.csv"
+    path.write_text("q1,component,re,im,abs\n" + body)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+        read_spectrum_csv(path)
 
 
 def _axis_table_oracle(mesh, t, q_axis, table):

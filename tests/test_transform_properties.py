@@ -148,8 +148,8 @@ def test_mesh_rebuilt_from_its_elements_is_equal(case):
 @given(_cases(), st.data())
 def test_wave_subset_matches_box_spectrum(case, data):
     # a subset that holds both corners (-qmax, ..) and (qmax, ..) but not
-    # (qmax, -qmax, ..) is not the product of its per-axis values, so it
-    # takes the per-prefix contraction while the box takes the product
+    # (qmax, -qmax, ..) is not the product of its per-axis values; it takes
+    # the per-wave rows or the product over its grid, by the grid's size
     mesh, box, rng = case
     d, qmax = mesh.d, box.qs[-1][0]
     assume(d > 1 and qmax > 0)
