@@ -31,7 +31,7 @@ from .harness import (
 )
 from .mesh import (
     load_mesh,
-    mesh_to_dict,
+    mesh_json,
     read_field,
     read_field_json,
     refine_by_indicator,
@@ -236,12 +236,7 @@ def _cmd_bessel(args) -> None:
 
 
 def _cmd_mesh_uniform(args) -> None:
-    mesh = uniform_mesh(args.d, args.K_per_axis, args.P)
-    if args.out is None:
-        json.dump(mesh_to_dict(mesh), sys.stdout, indent=1)
-        sys.stdout.write("\n")
-    else:
-        save_mesh(mesh, args.out)
+    _emit(mesh_json(uniform_mesh(args.d, args.K_per_axis, args.P)), args.out)
 
 
 def _cmd_mesh_refine(args) -> None:

@@ -21,7 +21,7 @@ from math import pi
 import numpy as np
 
 from .mesh import NodalField, eval_field_many, tensor_grid
-from .transform import Spectrum, WaveSet, contract_waves
+from .transform import Spectrum, WaveSet, contract_waves, fold_table
 
 __all__ = [
     "TrigGrid",
@@ -57,9 +57,10 @@ class TrigGrid:
 
 def _cubature_values(samples: np.ndarray, grid: TrigGrid,
                      waves: WaveSet) -> Spectrum:
-    """The grid as one M^d block: factors e^{-i q_t x_m}, weight M^{-d}."""
-    factors = [np.exp(-1j * np.multiply.outer(q_axis, grid.nodes_1d))[None]
-               for q_axis in waves.axis_index[0]]
+    """The grid as one M^d block: factors e^{-i q_t x_m}, folded to
+    cos(|q_t| x_m) and -sin(|q_t| x_m), weight M^{-d}."""
+    factors = [fold_table(np.exp(-1j * np.multiply.outer(u, grid.nodes_1d))[None], u)
+               for u, *_ in waves.axis_folds]
     weight = np.array([1.0 / grid.M ** grid.d])
     return Spectrum(waves, contract_waves(samples[None], factors, weight, waves))
 

@@ -45,6 +45,7 @@ __all__ = [
     "refine_by_indicator",
     "save_mesh",
     "load_mesh",
+    "mesh_json",
     "mesh_to_dict",
     "mesh_from_dict",
     "write_field",
@@ -604,8 +605,13 @@ def mesh_from_dict(data: dict) -> Mesh:
 
 def save_mesh(mesh: Mesh, path) -> None:
     with open(path, "w", newline="\n") as fh:
-        json.dump(mesh_to_dict(mesh), fh, indent=1)
-        fh.write("\n")
+        fh.write(mesh_json(mesh))
+
+
+def mesh_json(mesh: Mesh) -> str:
+    """``mesh_to_dict`` as one line of JSON and a newline; ``json.dumps``
+    without indent runs the C encoder, where ``json.dump`` runs Python."""
+    return json.dumps(mesh_to_dict(mesh)) + "\n"
 
 
 def load_mesh(path) -> Mesh:
@@ -642,8 +648,9 @@ def read_field(path, mesh: Mesh) -> NodalField:
     if len(raw) - 32 != 8 * count:
         raise ValueError(f"field file truncated or overlong: {len(raw) - 32} "
                          f"value bytes, expected {8 * count}")
-    vals = np.frombuffer(raw[32:], dtype="<f8", count=count)
-    return NodalField(mesh, vals.astype(float).reshape(K, (P + 1) ** d, C))
+    # a view of the bytes read, copied only where float64 is not little-endian
+    vals = np.frombuffer(raw, dtype="<f8", count=count, offset=32).astype(float, copy=False)
+    return NodalField(mesh, vals.reshape(K, (P + 1) ** d, C))
 
 
 def write_field_json(field: NodalField, path) -> None:

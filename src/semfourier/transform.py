@@ -8,15 +8,19 @@ function through node j of element k is a product over axes,
     F_t[k, q_t, j] = e^{-i q_t a_{k,t}} sum_p c[j, p] i^{-p} B_p(q_t h_{k,t}),
 
 with c the Legendre coefficients of the cardinal interpolants and B_p the
-spherical Bessel column. A TransformPlan keeps one table F_t per axis over
-the distinct q_t of its wave set, built from the mesh's (K, d) geometry
-arrays; on exact meshes the Bessel arguments are the integers q_t H[k, t]
-over one denominator, so repeated arguments are recognized exactly and
-share one column. ``contract_waves`` sums phi_hat * u over element
-blocks of bounded memory in a fixed order, so results are reproducible to
-the bit: by sum factorization over the grid of per-axis values for a box
-or any list dense in that grid, and wave by wave from the phi_hat rows
-that ``transform(compensated=True)`` also uses for any other list.
+spherical Bessel column. The parity B_p(-r) = (-1)^p B_p(r) and the phase
+give F_t[k, -q_t, j] = conj F_t[k, q_t, j] exactly, so a TransformPlan
+keeps one real table per axis, folded over the distinct |q_t| of its wave
+set: the rows Re F_t, then Im F_t for |q_t| > 0. It is built from the
+mesh's (K, d) geometry arrays; on exact meshes the Bessel arguments are
+the integers |q_t| H[k, t] over one denominator, so repeated arguments are
+recognized exactly and share one column. ``contract_waves`` sums
+phi_hat * u over element blocks of bounded memory in a fixed order, so
+results are reproducible to the bit: by sum factorization over the grid of
+per-axis values for a box or any list dense in that grid, in real
+arithmetic on the folded tables (a spectrum of a real field so computed is
+exactly conjugate-symmetric), and wave by wave from the complex phi_hat
+rows that ``transform(compensated=True)`` also uses for any other list.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ __all__ = [
     "TransformPlan",
     "build_plan",
     "contract_waves",
+    "fold_table",
     "phi_hat",
     "transform",
     "rms_relative_error",
@@ -105,6 +110,41 @@ class WaveSet:
         cols = [np.unique(q[:, t], return_inverse=True) for t in range(self.d)]
         return [v for v, _ in cols], np.stack([m for _, m in cols], axis=1)
 
+    @cached_property
+    def axis_folds(self) -> list[tuple[np.ndarray, ...]]:
+        """Per axis, ``_fold`` of the distinct q_t in ``axis_index``."""
+        return [_fold(v) for v in self.axis_index[0]]
+
+
+def _fold(q: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(u, e, o, s) of the distinct values q of one axis in a folded table.
+
+    u holds the distinct |q| ascending; a folded table has one row Re F(u)
+    for every u, then one row Im F(u) for every u > 0. Value q[m] reads
+    row e[m] for Re and row o[m] for Im with sign s[m] = sign(q[m]), so
+    F(q[m]) = Re + i s Im. For q[m] = 0, s[m] = 0 and o[m] is some valid row.
+    """
+    u, e = np.unique(np.abs(q), return_inverse=True)
+    return u, e, e + np.count_nonzero(u), np.sign(q)
+
+
+def fold_table(F: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The folded real table of complex F[k, i, j] = F(u[i]) over the
+    distinct |q| ``u`` of ``_fold``: rows Re F, then Im F where u > 0."""
+    return np.concatenate([F.real, F.imag[:, u != 0]], axis=1)
+
+
+def _table_row(F: np.ndarray, fold, m: int, k) -> np.ndarray:
+    """Complex entries F[k, q, :] of the m-th distinct q of ``fold``, read
+    from the folded table F part by part: (Re, s Im) keeps the bits of
+    F(q) = conj F(|q|), signed zeros included, and q = 0 reads (Re, 0.0)."""
+    _, e, o, s = fold
+    row = np.zeros(F[k, 0].shape, dtype=complex)
+    row.real = F[k, e[m]]
+    if s[m]:
+        np.multiply(F[k, o[m]], s[m], out=row.imag)
+    return row
+
 
 @dataclass(frozen=True)
 class Spectrum:
@@ -126,7 +166,13 @@ class Spectrum:
         return self.values[self.waves.index(q)]
 
     def conjugate_symmetry_error(self) -> float:
-        """Max |u_hat(-q) - conj(u_hat(q))| over pairs present in the set."""
+        """Max |u_hat(-q) - conj(u_hat(q))| over pairs present in the set.
+
+        Exactly 0 for spectra of real fields from the product path of
+        ``contract_waves`` (every box), which folds F(-q) = conj F(q) into
+        its arithmetic; the rows path and ``compensated=True`` compute each
+        wave on its own and leave rounding-level residuals.
+        """
         axis_values, m = self.waves.axis_index
         n = len(m)
         q = np.stack([v[m[:, t]] for t, v in enumerate(axis_values)], axis=1)
@@ -147,112 +193,141 @@ def ipow_neg(P: int) -> np.ndarray:
     return cycle[np.arange(P + 1) % 4]
 
 
-def _factor_tables(a: np.ndarray, h: np.ndarray, H, L, q_axes,
+def _factor_tables(a: np.ndarray, h: np.ndarray, H, L, u_axes,
                    table: LegendreCoeffTable):
-    """F_t[k, m, j] = e^{-i q_m a_{k,t}} sum_p c[j,p] i^{-p} B_p(q_m h_{k,t}).
+    """Folded tables of F_t[k, u, j] = e^{-i u a_{k,t}} sum_p c[j,p] i^{-p} B_p(u h_{k,t}).
 
-    Geometry as ``Mesh`` holds it. The Bessel keys are the exact integers
-    q_m H[k, t] (argument key / L * pi, key / L correctly rounded), or the
-    floats q_m h[k, t] if H is None; one column per distinct key over all
-    axes. Returns the (K, len(q_axes[t]), P+1) tables, the weights
+    Geometry as ``Mesh`` holds it; u_axes[t] holds the distinct |q_t|
+    ascending. The Bessel keys are the exact integers u H[k, t] (argument
+    key / L * pi, key / L correctly rounded), or the floats u h[k, t] if H
+    is None; one column per distinct key over all axes. Returns the
+    (K, rows_t, P+1) float64 tables of ``fold_table``, the weights
     |det h_k| / pi^d of shape (K,), and the key count.
     """
     P = table.degree
     g = h if H is None else H
-    qmax = max([int(np.max(np.abs(q))) for q in q_axes if q.size] or [0])
+    qmax = max([int(u[-1]) for u in u_axes if u.size] or [0])
     if g.dtype == np.int64 and qmax * int(np.max(np.abs(g))) >= 2 ** 63:
         g = g.astype(object)  # keys past int64 stay exact as Python ints
     K = g.shape[0]
     distinct, inverse = np.unique(np.concatenate(
-        [np.multiply.outer(g[:, t], q).ravel() for t, q in enumerate(q_axes)]),
+        [np.multiply.outer(g[:, t], u).ravel() for t, u in enumerate(u_axes)]),
         return_inverse=True)
     ip = ipow_neg(P)
     S = np.empty((distinct.size, P + 1), dtype=complex)
     for i, key in enumerate(distinct.tolist()):
         r = key if H is None else key / L * math.pi
         S[i] = np.einsum("jp,p->j", table.coeffs, ip * bessel_column(r, P))
-    # gather every table, then free the key index before the phases go in
-    ends = np.cumsum([K * q.size for q in q_axes])[:-1]
-    tables = [S[i].reshape(K, q.size, P + 1)
-              for i, q in zip(np.split(inverse, ends), q_axes)]
-    del inverse
-    for t, F in enumerate(tables):
-        phase = np.exp(-1j * np.multiply.outer(a[:, t], q_axes[t]))
+    ends = np.cumsum([K * u.size for u in u_axes])[:-1]
+    tables = []
+    for t, (i, u) in enumerate(zip(np.split(inverse, ends), u_axes)):
+        F = S[i].reshape(K, u.size, P + 1)
+        phase = np.exp(-1j * np.multiply.outer(a[:, t], u))
         # phase times row in this order: swapping the factors of a complex
         # product can change its last bit
         np.multiply(phase[:, :, None], F, out=F)
+        tables.append(fold_table(F, u))
     weight = np.prod(np.abs(h), axis=1) / math.pi ** h.shape[1]
     return tuple(tables), weight, distinct.size
 
 
 def contract_waves(values: np.ndarray, factors, weight: np.ndarray,
                    waves: WaveSet) -> np.ndarray:
-    """sum_k weight[k] sum_j prod_t factors[t][k, m_t(q), j_t] values[k, j].
+    """sum_k weight[k] sum_j prod_t F_t[k, q_t, j_t] values[k, j] per wave q.
 
-    values has shape (K, n^d, C), axis 1 fastest within a block; factors[t]
-    has shape (K, m_t, n), row m for the m-th distinct q_t of ``waves``
-    (``waves.axis_index``). Returns shape (len(waves), C), in wave order.
+    values has shape (K, n^d, C), axis 1 fastest within a block, real or
+    complex; factors[t] is the folded float64 table of F_t over the
+    distinct |q_t| of ``waves`` (``fold_table``, ``waves.axis_folds``):
+    shape (K, rows_t, n), rows Re F_t, then Im F_t where |q_t| > 0, with
+    F_t(-q_t) = conj F_t(q_t). Returns shape (len(waves), C) complex, in
+    wave order.
 
     Elements are summed in a fixed order, in blocks whose memory
     ``_VALUE_BLOCK`` caps whatever K. ``_contract_product`` contracts the
-    grid of per-axis values, one element-batched matmul per axis; its last
-    axis dominates, at prod_t m_t n C flops per element. ``_contract_rows``
-    costs at least len(waves) n^d C. So a set with ``prod_t m_t <=
-    len(waves) n^(d-1)`` takes the product, as every box and full product
-    does, and any other list the rows.
+    real values against the real tables, one element-batched matmul per
+    axis, then unfolds the grid of per-axis values; its last axis
+    dominates, at prod_t rows_t n C real multiply-adds per element, a
+    quarter of the complex product over the signed values.
+    ``_contract_rows`` costs at least len(waves) n^d C complex ones. So a
+    set with ``prod_t m_t <= len(waves) n^(d-1)`` (m_t distinct q_t) takes
+    the product, as every box and full product does, and any other list
+    the rows.
     """
     axis_values, m = waves.axis_index
     d, n = len(factors), factors[0].shape[2]
     if math.prod(len(v) for v in axis_values) <= len(waves) * n ** (d - 1):
-        return _contract_product(values, factors, weight, m)
-    return _contract_rows(values, factors, weight, m)
+        return _contract_product(values, factors, weight, waves.axis_folds, m)
+    return _contract_rows(values, factors, weight, waves.axis_folds, m)
 
 
 # Cap on the complex values one element block of either contraction path
-# holds per intermediate array; a block holds at least one element. At
-# 2^13 (128 KiB) the intermediates stay under the C allocator's default
-# mmap threshold, so blocks reuse heap memory: larger blocks measured up to
-# 2x slower on the 3D hanging-node benchmark mesh, from fresh pages.
+# holds per intermediate array (twice as many float64 values, the same
+# bytes); a block holds at least one element. At 2^13 complex values
+# (128 KiB) the intermediates stay under the C allocator's default mmap
+# threshold, so blocks reuse heap memory: larger blocks measured up to 2x
+# slower on the 3D hanging-node benchmark mesh, from fresh pages.
 _VALUE_BLOCK = 1 << 13
 
 
-def _contract_product(values, factors, weight, m):
+def _contract_product(values, factors, weight, folds, m):
     """``contract_waves`` over the whole product of the per-axis values.
 
-    Elements go in blocks of B = _VALUE_BLOCK // (largest per-element
-    intermediate). Within a block the nodal values are weighted, then axis
-    t is one batched (B, m_t, n) @ (B, n, rest) matmul, after which one
-    transpose moves m_t behind the rest and brings node axis t+1 forward.
-    Block sums over elements are added in block order: no BLAS call
-    reduces over elements, so the result does not depend on threading.
+    Complex values go through as 2C real components. Elements go in blocks
+    of B = 2 _VALUE_BLOCK // (largest per-element intermediate). Within a
+    block the nodal values are weighted, then axis t is one batched real
+    (B, rows_t, n) @ (B, n, rest) matmul, after which one transpose moves
+    rows_t behind the rest and brings node axis t+1 forward. Block sums
+    over elements are added in block order: no BLAS call reduces over
+    elements, so the result does not depend on threading. The real total
+    is then unfolded one axis at a time into the complex grid of signed
+    values, u_hat = E + i s O from the Re rows E and the Im rows O, which
+    gives u_hat(-q) = conj u_hat(q) exactly for real values.
     """
     K, _, C = values.shape
+    if np.iscomplexobj(values):
+        both = _contract_product(np.concatenate([values.real, values.imag], axis=2),
+                                 factors, weight, folds, m)
+        return both[:, :C] + 1j * both[:, C:]
     d, n = len(factors), factors[0].shape[2]
     sizes = [F.shape[1] for F in factors]
     per_element = max(math.prod(sizes[:t]) * n ** (d - t) * C for t in range(d + 1))
-    B = max(1, _VALUE_BLOCK // per_element)
+    B = max(1, 2 * _VALUE_BLOCK // per_element)
     # (k, j_d .. j_1, c) -> (k, j_1 .. j_d, c)
     order = (0,) + tuple(range(d, 0, -1)) + (d + 1,)
-    total = np.zeros((sizes[-1], C, math.prod(sizes[:-1])), dtype=complex)
+    total = np.zeros((sizes[-1], C) + tuple(sizes[:-1]))
     for lo in range(0, K, B):
         block = values[lo:lo + B]
         b, rest = block.shape[0], n ** (d - 1) * C
         w = weight[lo:lo + B].reshape((b,) + (1,) * (d + 1))
         X = np.multiply(block.reshape((b,) + (n,) * d + (C,)).transpose(order), w,
-                        order="C", dtype=complex)
+                        order="C", dtype=float)
         for t, F in enumerate(factors):
             X = F[lo:lo + B] @ X.reshape(b, n, rest)
             if t < d - 1:
-                # (b, m_t, j_{t+1}, r) -> (b, j_{t+1}, r, m_t)
+                # (b, r_t, j_{t+1}, r) -> (b, j_{t+1}, r, r_t)
                 X = X.reshape(b, sizes[t], n, rest // n).transpose(0, 2, 3, 1).copy()
                 rest = rest // n * sizes[t]
-        # axes (m_d, c, m_1 .. m_{d-1})
+        # axes (r_d, c, r_1 .. r_{d-1})
         total += X.reshape((b,) + total.shape).sum(axis=0)
-    rows = total.transpose(2, 0, 1).reshape(-1, C)  # (m_1 .. m_d, c)
-    return rows[np.ravel_multi_index(tuple(m.T), sizes)]
+    del X  # free the last block before the unfold's grid-sized temporaries
+    grid = total
+    for t, (_, e, o, s) in enumerate(folds):
+        axis = 0 if t == d - 1 else t + 2
+        grid = _unfold(grid, axis, e, o, s)
+    # axes (m_d, c, m_1 .. m_{d-1}); the wave index goes first
+    return grid[(m[:, -1], slice(None)) + tuple(m[:, :-1].T)]
 
 
-def _contract_rows(values, factors, weight, m):
+def _unfold(grid, axis, e, o, s):
+    """E + i s O along ``axis`` of grid: rows e (E) and o (O) of that axis
+    for each signed value, which has sign s."""
+    unit = (1j * s).reshape((-1,) + (1,) * (grid.ndim - 1 - axis))
+    out = grid.take(o, axis=axis) * unit
+    out += grid.take(e, axis=axis)
+    return out
+
+
+def _contract_rows(values, factors, weight, folds, m):
     """``contract_waves`` one wave at a time from its phi_hat rows, over
     element blocks of _VALUE_BLOCK // n^d whose sums are added in block
     order, so as in ``_contract_product`` no BLAS call reduces over elements."""
@@ -260,17 +335,18 @@ def _contract_rows(values, factors, weight, m):
     B = max(1, _VALUE_BLOCK // N)
     out = np.zeros((len(m), C), dtype=complex)
     for i, lo in product(range(len(m)), range(0, K, B)):
-        rows = _wave_rows(factors, weight, m[i], slice(lo, lo + B))
+        rows = _wave_rows(factors, folds, weight, m[i], slice(lo, lo + B))
         out[i] += (rows[:, None, :] @ values[lo:lo + B])[:, 0].sum(axis=0)
     return out
 
 
-def _wave_rows(factors, weight, m, k):
-    """phi_hat rows of the wave with table rows m for elements k, axis 1
-    fastest, shape (elements, n^d)."""
-    rows = weight[k, None] * factors[0][k, m[0]]
+def _wave_rows(factors, folds, weight, m, k):
+    """phi_hat rows of the wave with distinct-value indices m for elements
+    k, axis 1 fastest, shape (elements, n^d)."""
+    rows = weight[k, None] * _table_row(factors[0], folds[0], m[0], k)
     for t in range(1, len(m)):
-        rows = (factors[t][k, m[t], :, None] * rows[:, None, :]).reshape(len(rows), -1)
+        row = _table_row(factors[t], folds[t], m[t], k)
+        rows = (row[:, :, None] * rows[:, None, :]).reshape(len(rows), -1)
     return rows
 
 
@@ -279,8 +355,11 @@ class TransformPlan:
 
     Attributes:
         mesh, rule, table, waves: the inputs the plan was built for.
-        factors: per axis t, the (K, m_t, P+1) table of ``_factor_tables``
-            over the distinct q_t of ``waves``.
+        factors: per axis t, the folded (K, rows_t, P+1) float64 table of
+            ``_factor_tables`` over the distinct |q_t| of ``waves``: rows
+            Re F_t, then Im F_t where |q_t| > 0 (``fold_table``); the value
+            at q_t is Re + i sign(q_t) Im, since F_t(-q_t) = conj F_t(q_t).
+            ``waves.axis_folds`` maps each distinct q_t to its rows.
         weight: |det h_k| / pi^d per element, shape (K,).
         n_bessel_args: number of distinct Bessel arguments evaluated.
     """
@@ -296,15 +375,17 @@ class TransformPlan:
         self.table = table
         self.waves = waves
         self.factors, self.weight, self.n_bessel_args = _factor_tables(
-            mesh.a, mesh.h, mesh.H, mesh.L, waves.axis_index[0], table)
+            mesh.a, mesh.h, mesh.H, mesh.L, [u for u, *_ in waves.axis_folds], table)
         for a in self.factors + (self.weight,):
             a.setflags(write=False)
 
     def basis_coefficient(self, qi: int, k: int, j_flat: int) -> complex:
         """phi_hat of node j_flat (storage order) of element k at wave qi."""
         m, n = self.waves.axis_index[1][qi], self.mesh.P + 1
+        folds = self.waves.axis_folds
         return complex(math.prod(
-            [F[k, m[t], j_flat // n ** t % n] for t, F in enumerate(self.factors)],
+            [_table_row(F, folds[t], m[t], k)[j_flat // n ** t % n]
+             for t, F in enumerate(self.factors)],
             start=complex(self.weight[k])))
 
 
@@ -336,9 +417,11 @@ def phi_hat(rule: GllRule, table: LegendreCoeffTable, element: Element,
     if not all(0 <= jt <= table.degree for jt in j_tup):
         raise IndexError("node index out of range")
     a, h, _, H, L = element_arrays([element], d)
-    tables, weight, _ = _factor_tables(a, h, H, L, [np.array([int(v)]) for v in q_tup], table)
-    return complex(math.prod([F[0, 0, jt] for F, jt in zip(tables, j_tup)],
-                             start=complex(weight[0])))
+    folds = [_fold(np.array([int(v)])) for v in q_tup]
+    tables, weight, _ = _factor_tables(a, h, H, L, [u for u, *_ in folds], table)
+    return complex(math.prod(
+        [_table_row(F, fold, 0, 0)[jt] for F, fold, jt in zip(tables, folds, j_tup)],
+        start=complex(weight[0])))
 
 
 def transform(field: NodalField, plan: TransformPlan,
@@ -361,7 +444,7 @@ def transform(field: NodalField, plan: TransformPlan,
     C = field.values.shape[2]
     out = np.empty((len(plan.waves), C), dtype=complex)
     for qi, m in enumerate(plan.waves.axis_index[1]):
-        rows = _wave_rows(plan.factors, plan.weight, m, slice(None))
+        rows = _wave_rows(plan.factors, plan.waves.axis_folds, plan.weight, m, slice(None))
         prods = (rows[:, :, None] * field.values).reshape(-1, C)
         out[qi] = [complex(math.fsum(p.real), math.fsum(p.imag)) for p in prods.T]
     return Spectrum(plan.waves, out)
@@ -395,13 +478,16 @@ def spectrum_csv_text(spectrum: Spectrum, extra_col=None) -> str:
         header.append(extra_col[0])
     qs = spectrum.waves.qs
     order = sorted(range(len(qs)), key=qs.__getitem__)
-    tail = "" if extra_col is None else "," + str(extra_col[1])
-    lines = [",".join(header)]
+    tail = "" if extra_col is None else "," + str(extra_col[1]).replace("%", "%%")
+    line = "%d," * (d + 1) + "%.17g,%.17g,%.17g" + tail + "\n"
+    # one flat argument list and one % over all rows; the per-row tuples die
+    # at once, so no tracked containers pile up for the garbage collector
+    args = []
     for i, row in zip(order, spectrum.values[order].tolist()):
-        q = ",".join([str(int(t)) for t in qs[i]])
-        lines += [f"{q},{c},{v.real:.17g},{v.imag:.17g},{_magnitude(v):.17g}{tail}"
-                  for c, v in enumerate(row)]
-    return "\n".join(lines) + "\n"
+        q = qs[i]
+        for c, v in enumerate(row):
+            args += (*q, c, v.real, v.imag, _magnitude(v))
+    return ",".join(header) + "\n" + line * (len(args) // (d + 4)) % tuple(args)
 
 
 def _magnitude(v: complex) -> float:

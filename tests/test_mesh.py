@@ -434,6 +434,18 @@ def test_mesh_file_round_trip(tmp_path):
     assert back == fl and not back.rational
 
 
+def test_mesh_file_is_one_line_and_indented_files_still_load(tmp_path):
+    mesh = refine(uniform_mesh(2, 2, 2), [1])
+    path = tmp_path / "mesh.json"
+    save_mesh(mesh, path)
+    text = path.read_text()
+    assert text.count("\n") == 1 and text.endswith("}\n")
+    assert json.loads(text) == mesh_to_dict(mesh)
+    # the indented form that mesh files had before
+    path.write_text(json.dumps(mesh_to_dict(mesh), indent=1) + "\n")
+    assert load_mesh(path) == mesh
+
+
 def test_mesh_dict_rejects_offdiagonal_maps():
     mesh = uniform_mesh(2, 1, 1)
     data = mesh_to_dict(mesh)
