@@ -292,14 +292,6 @@ def _cmd_case_list(args) -> None:
     )
 
 
-def _cmd_case_sample(args) -> None:
-    mesh = load_mesh(args.mesh)
-    case = _make_case(args.name, args)
-    if case.d != mesh.d:
-        raise SystemExit(f"case dimension {case.d} != mesh dimension {mesh.d}")
-    _write_field_path(sample_field(mesh, gll_rule(mesh.P), case.func), args.out)
-
-
 def _cmd_converge(args) -> None:
     case = _make_case(args.case, args)
     K_list = []
@@ -389,11 +381,11 @@ def build_parser() -> argparse.ArgumentParser:
     cl = csub.add_parser("list", help="list available cases")
     cl.set_defaults(func=_cmd_case_list)
     cs = csub.add_parser("sample", help="sample a case onto a mesh")
-    cs.add_argument("--name", required=True)
+    cs.add_argument("--name", dest="case", required=True)
     cs.add_argument("--mesh", required=True)
     cs.add_argument("--out", required=True)
     _add_case_params(cs)
-    cs.set_defaults(func=_cmd_case_sample)
+    cs.set_defaults(func=_cmd_field_sample, expr=None)
 
     p = sub.add_parser("converge", help="(K, P) convergence surface for a 1D case")
     p.add_argument("--case", default="sin")

@@ -52,13 +52,8 @@ def legendre_eval(p: int, xi):
         raise ValueError("degree must be nonnegative")
     xi_arr = np.asarray(xi, dtype=float)
     _check_domain(xi_arr)
-    lm1 = np.ones_like(xi_arr)
-    if p == 0:
-        return lm1 if xi_arr.ndim else float(lm1)
-    lk = xi_arr.copy()
-    for k in range(1, p):
-        lk, lm1 = ((2 * k + 1) * xi_arr * lk - k * lm1) / (k + 1), lk
-    return lk if xi_arr.ndim else float(lk)
+    lp = np.ones_like(xi_arr) if p == 0 else _lp_and_lpm1(p, xi_arr)[0]
+    return lp if xi_arr.ndim else float(lp)
 
 
 def legendre_all(pmax: int, xi) -> np.ndarray:

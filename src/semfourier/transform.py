@@ -470,7 +470,10 @@ def spectrum_csv_text(spectrum: Spectrum, extra_col=None) -> str:
 
     Rows are sorted lexicographically by wavevector then component and
     floats carry 17 significant digits, so equal spectra produce byte-equal
-    text. ``extra_col=(name, value)`` appends a constant column.
+    text. ``abs`` comes from one array ``np.hypot``, which calls the same C
+    ``hypot`` as Python's ``abs(complex)`` and so gives the same bits (inf
+    where the magnitude overflows); ``np.abs`` rounds some values
+    differently. ``extra_col=(name, value)`` appends a constant column.
     """
     d = spectrum.waves.d
     header = [f"q{t + 1}" for t in range(d)] + ["component", "re", "im", "abs"]
@@ -478,28 +481,19 @@ def spectrum_csv_text(spectrum: Spectrum, extra_col=None) -> str:
         header.append(extra_col[0])
     qs = spectrum.waves.qs
     order = sorted(range(len(qs)), key=qs.__getitem__)
+    values = spectrum.values[order]
+    with np.errstate(over="ignore"):
+        mags = np.hypot(values.real, values.imag).tolist()
     tail = "" if extra_col is None else "," + str(extra_col[1]).replace("%", "%%")
     line = "%d," * (d + 1) + "%.17g,%.17g,%.17g" + tail + "\n"
     # one flat argument list and one % over all rows; the per-row tuples die
     # at once, so no tracked containers pile up for the garbage collector
     args = []
-    for i, row in zip(order, spectrum.values[order].tolist()):
+    for i, row, mag in zip(order, values.tolist(), mags):
         q = qs[i]
         for c, v in enumerate(row):
-            args += (*q, c, v.real, v.imag, _magnitude(v))
+            args += (*q, c, v.real, v.imag, mag[c])
     return ",".join(header) + "\n" + line * (len(args) // (d + 4)) % tuple(args)
-
-
-def _magnitude(v: complex) -> float:
-    """|v| by the C library's hypot, as numpy's scalar abs; inf on overflow.
-
-    numpy's array abs rounds some values differently, so the CSV keeps
-    this scalar form.
-    """
-    try:
-        return abs(v)
-    except OverflowError:
-        return math.inf
 
 
 def write_spectrum_csv(spectrum: Spectrum, path, extra_col=None) -> None:

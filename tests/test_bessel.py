@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import spherical_jn
@@ -71,6 +72,20 @@ def test_boundedness_and_flush():
     tiny = bessel_column(1e-20, 40)
     assert tiny[0] == 1.0
     assert np.all(tiny[20:] == 0.0)
+
+
+@pytest.mark.parametrize("r", [1e-40, 1e-100, 1e-300])
+def test_tiny_arguments_give_leading_terms_or_exact_zeros(r):
+    # B_p(r) = r^p / (2p+1)!! to far below rounding here; the power series
+    # must carry these arguments, where the downward recurrence alone fails
+    col = bessel_column(r, 20)
+    assert col[0] == 1.0
+    for p in range(1, 21):
+        lead = float(mpmath.mpf(r) ** p / mpmath.fac2(2 * p + 1))
+        if lead >= 1e-291:
+            assert col[p] == pytest.approx(lead, rel=1e-14)
+        else:
+            assert lead < 1e-293 and col[p] == 0.0
 
 
 def test_rejects_bad_inputs():

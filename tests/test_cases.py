@@ -2,11 +2,13 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import ive
 
 from semfourier.cases import (
+    _cosine_series,
     burgers_profile,
     case_burgers_t,
     case_burgers_t0,
@@ -97,6 +99,38 @@ def test_rotated_series_validates_parameters():
         case_rotated_series(b=(0.1, -0.4))
     with pytest.raises(ValueError):
         case_rotated_series(l=(0, 0))
+
+
+def test_rotated_series_rejects_negative_truncation():
+    with pytest.raises(ValueError, match="truncation must be nonnegative"):
+        case_rotated_series(n_trunc=-1)
+
+
+def test_rotated_series_zero_truncation_is_constant():
+    case = case_rotated_series(n_trunc=0)
+    X = np.random.default_rng(5).uniform(-math.pi, math.pi, (50, 2))
+    assert np.all(case.func(X) == 1.0)
+    assert case.exact_coeff((0, 0))[0] == 1.0
+    assert case.exact_coeff((1, 2))[0] == 0.0
+
+
+@pytest.mark.parametrize("b,bound", [(-0.4, 1.2e-15), (-0.05, 8e-15), (-1e-3, 3e-13)])
+def test_cosine_series_matches_40_digit_sum(b, bound):
+    # each bound is a few times the closed form's largest error on this
+    # sample (3.7e-16, 1.7e-15, 1.1e-13, the last next to 2 pi where 1 - z
+    # is small) and below that of summing the 96 terms in float64 (1.7e-15,
+    # 5.2e-14, 7.3e-13); the series peaks at the multiples of 2 pi
+    n_trunc = 96
+    rng = np.random.default_rng(17)
+    y = np.concatenate([rng.uniform(-3 * math.pi, 3 * math.pi, 100),
+                        2 * math.pi * np.arange(-4, 5)])
+    with mpmath.workdps(40):
+        bm = mpmath.mpf(b)
+        ref = np.array([float(1 + 2 * mpmath.fsum(
+            mpmath.exp(bm * n) * mpmath.cos(n * mpmath.mpf(t)) for n in range(1, n_trunc + 1)
+        )) for t in y.tolist()])
+    err = np.abs(_cosine_series(y, b, n_trunc) - ref) / np.maximum(1.0, np.abs(ref))
+    assert np.max(err) <= bound
 
 
 def test_rotated_series_coefficients_recovered_by_cubature():

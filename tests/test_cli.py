@@ -211,6 +211,28 @@ def test_case_list_and_sample(tmp_path):
     assert data["K"] == 4 and data["components"] == 1
 
 
+@pytest.mark.parametrize("command,name_flag", [
+    (("case", "sample"), "--name"), (("field", "sample"), "--case")])
+def test_sample_rejects_case_of_other_dimension(tmp_path, command, name_flag):
+    mesh_path = tmp_path / "mesh.json"
+    save_mesh(uniform_mesh(1, 2, 2), mesh_path)
+    proc = run_cli(*command, name_flag, "rotser", "--mesh", mesh_path,
+                   "--out", tmp_path / "x.bin", check=False)
+    assert proc.returncode == 1
+    assert proc.stderr == "case dimension 2 != mesh dimension 1\n"
+    assert not (tmp_path / "x.bin").exists()
+
+
+def test_negative_series_truncation_exits_1(tmp_path):
+    mesh_path = tmp_path / "mesh.json"
+    save_mesh(uniform_mesh(2, 2, 2), mesh_path)
+    proc = run_cli("field", "sample", "--mesh", mesh_path, "--case", "rotser",
+                   "--n-trunc", "-1", "--out", tmp_path / "x.bin", check=False)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: series truncation must be nonnegative: -1\n"
+    assert not (tmp_path / "x.bin").exists()
+
+
 def test_converge_and_decay_round_trip(tmp_path):
     surface = tmp_path / "surface.csv"
     run_cli("converge", "--case", "sin", "--Kmax", 2, "--Pmax", 3,
