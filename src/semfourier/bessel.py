@@ -8,7 +8,7 @@ B_1(r) = sin(r)/r^2 - cos(r)/r.
 Evaluation strategy (one column B_0..B_P per argument):
 
 * |r| < 0.5: ascending power series, term ratio ~ r^2, summed to 1e-18
-  relative tail.
+  relative tail; at r = 0 (or -0.0) it gives exactly [1, 0, .., 0].
 * |r| >= 0.5: Miller downward recurrence from a start degree safely above
   the turning point p ~ |r|, normalized against B_0 (or B_1 when sin(r)
   nearly vanishes), with an overflow rescale guard.
@@ -110,10 +110,6 @@ def bessel_column(r: float, P: int) -> np.ndarray:
     r = float(r)
     if not math.isfinite(r):
         raise ValueError("argument must be finite")
-    if r == 0.0:
-        out = np.zeros(P + 1)
-        out[0] = 1.0
-        return out
     a = abs(r)
     if a < _SERIES_SPLIT:
         out = _column_series(a, P)

@@ -173,7 +173,11 @@ def case_burgers_t0(l=(1, 2)) -> AnalyticCase:
     return AnalyticCase("burgers_t0", 2, 2, func, coeff, {"l": tuple(l_arr)})
 
 
-def burgers_profile(s, tau: float, nu: float, n_quad: int = 1600) -> np.ndarray:
+# Midpoints of ``burgers_profile`` per 2 pi of its window, at the least.
+_N_QUAD = 1600
+
+
+def burgers_profile(s, tau: float, nu: float) -> np.ndarray:
     """Viscous Burgers profile V(tau, s) with V(0, s) = -sin(s), period 2 pi.
 
     Solves V_tau + V V_s = nu V_ss through the exact integral
@@ -183,17 +187,16 @@ def burgers_profile(s, tau: float, nu: float, n_quad: int = 1600) -> np.ndarray:
         W(y) = exp(-[cos(y) + (s - y)^2 / (2 tau)] / (2 nu)),
 
     evaluated by a midpoint rule over y in [s - pi, s + pi] after
-    subtracting the rowwise exponent maximum. The integrand is positive,
-    so the quotient stays fully significant even at sharp fronts where
-    alternating-series forms of the same solution cancel below double
-    precision.
+    subtracting the rowwise exponent maximum, with ``_N_QUAD`` points per
+    2 pi of window, more where the heat kernel is narrower than that grid.
+    The integrand is positive, so the quotient stays fully significant even
+    at sharp fronts where alternating-series forms of the same solution
+    cancel below double precision.
 
     Args:
         s: evaluation points (scalar or array), any real values.
         tau: time, >= 0.
         nu: viscosity, > 0.
-        n_quad: base quadrature resolution; scaled up automatically when
-            the heat kernel is narrower than the grid.
 
     Returns:
         Array of profile values with the shape of ``s``.
@@ -212,7 +215,7 @@ def burgers_profile(s, tau: float, nu: float, n_quad: int = 1600) -> np.ndarray:
     # swing e^{1/nu} and the 1e-300 floor
     half_span = max(math.pi, math.sqrt(4.0 * tau + 1400.0 * nu * tau))
     n_eff = int(math.ceil(max(
-        n_quad * half_span / math.pi, 16.0 * 2.0 * half_span / width
+        _N_QUAD * half_span / math.pi, 16.0 * 2.0 * half_span / width
     )))
     eta = -half_span + (np.arange(n_eff) + 0.5) * (2.0 * half_span / n_eff)
     out = np.empty_like(s_arr)

@@ -66,8 +66,8 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _make_case(name: str, args) -> _cases.AnalyticCase:
-    if name.startswith("legendre_"):
-        return _cases.case_legendre(int(name.split("_", 1)[1]))
+    if name.startswith("legendre_") and name[len("legendre_"):].isdecimal():
+        return _cases.case_legendre(int(name[len("legendre_"):]))
     if name == "sin":
         return _cases.case_sin()
     if name == "rotser":
@@ -80,7 +80,7 @@ def _make_case(name: str, args) -> _cases.AnalyticCase:
         return _cases.case_burgers_t(
             l=(args.l1, args.l2), t=args.time, viscosity=args.viscosity
         )
-    raise SystemExit(f"unknown case {name!r}; choices: {_CASE_CHOICES}")
+    raise ValueError(f"unknown case {name!r}; choices: {_CASE_CHOICES}")
 
 
 def _add_case_params(p: argparse.ArgumentParser) -> None:

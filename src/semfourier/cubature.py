@@ -69,13 +69,12 @@ def cubature_transform(field: NodalField, grid: TrigGrid,
                        waves: WaveSet) -> Spectrum:
     """Equispaced cubature of a nodal field's interpolant.
 
-    Grid samples come from the piecewise interpolant itself, so the gap to
-    the exact transform is purely the aliasing sum.
+    ``cubature_transform_fn`` over ``eval_field_many``, so the gap to the
+    exact transform is purely the aliasing sum.
     """
-    if grid.d != field.mesh.d or waves.d != field.mesh.d:
+    if grid.d != field.mesh.d:
         raise ValueError("dimension mismatch")
-    samples = eval_field_many(field, grid.points())
-    return _cubature_values(samples, grid, waves)
+    return cubature_transform_fn(lambda X: eval_field_many(field, X), grid, waves)
 
 
 def cubature_transform_fn(f, grid: TrigGrid, waves: WaveSet) -> Spectrum:
@@ -88,6 +87,15 @@ def cubature_transform_fn(f, grid: TrigGrid, waves: WaveSet) -> Spectrum:
     return _cubature_values(samples, grid, waves)
 
 
+def _shifts(q, M: int, R: int) -> list[tuple[tuple[int, ...], int]]:
+    """(q + M r, ||r||_inf) for every r in [-R, R]^d, r in lexicographic order."""
+    if M < 1 or R < 0:
+        raise ValueError("M must be positive and R nonnegative")
+    q_tup = tuple(int(c) for c in q)
+    return [(tuple(qt + M * rt for qt, rt in zip(q_tup, r)), max(map(abs, r), default=0))
+            for r in product(range(-R, R + 1), repeat=len(q_tup))]
+
+
 def aliasing_error(spectrum_fn, q, M: int, R: int):
     """Truncated aliasing sum sum_{0 < ||r||_inf <= R} u_hat(q + M r).
 
@@ -95,28 +103,19 @@ def aliasing_error(spectrum_fn, q, M: int, R: int):
         spectrum_fn: callable returning the exact coefficient (scalar or
             component vector) at an integer wavevector tuple.
         q: base wavevector.
-        M: cubature resolution per axis.
-        R: truncation radius in shells of the shift lattice.
+        M: cubature resolution per axis, >= 1.
+        R: truncation radius in shells of the shift lattice, >= 0.
 
     Returns:
-        The partial sum, with the same shape spectrum_fn returns. This is
-        a truncation of an infinite sum; pair it with
-        ``aliasing_tail_estimate`` to size the neglected remainder.
+        The partial sum in the lexicographic order of r, with the shape
+        spectrum_fn returns. This is a truncation of an infinite sum; pair
+        it with ``aliasing_tail_estimate`` to size the neglected remainder.
     """
-    q_tup = tuple(int(c) for c in q)
-    d = len(q_tup)
-    if M < 1 or R < 0:
-        raise ValueError("M must be positive and R nonnegative")
-    total = None
-    for r in product(range(-R, R + 1), repeat=d):
-        if all(c == 0 for c in r):
-            continue
-        shifted = tuple(q_tup[t] + M * r[t] for t in range(d))
-        val = np.asarray(spectrum_fn(shifted), dtype=complex)
-        total = val if total is None else total + val
-    if total is None:
-        total = np.asarray(spectrum_fn(q_tup), dtype=complex) * 0.0
-    return total
+    shifts = _shifts(q, M, R)
+    vals = [np.asarray(spectrum_fn(s), dtype=complex) for s, ring in shifts if ring]
+    if not vals:
+        return np.asarray(spectrum_fn(shifts[0][0]), dtype=complex) * 0.0
+    return sum(vals[1:], vals[0])
 
 
 def aliasing_tail_estimate(spectrum_fn, q, M: int, R: int) -> float:
@@ -124,16 +123,7 @@ def aliasing_tail_estimate(spectrum_fn, q, M: int, R: int) -> float:
 
     Returns max |u_hat| over the shell ||r||_inf = R times the shell point
     count; decaying spectra make this an upper-stable order-of-magnitude
-    bound for everything beyond R.
+    bound for everything beyond R. M and R are checked as there.
     """
-    q_tup = tuple(int(c) for c in q)
-    d = len(q_tup)
-    worst = 0.0
-    count = 0
-    for r in product(range(-R, R + 1), repeat=d):
-        if max(abs(c) for c in r) != R:
-            continue
-        count += 1
-        shifted = tuple(q_tup[t] + M * r[t] for t in range(d))
-        worst = max(worst, float(np.max(np.abs(spectrum_fn(shifted)))))
-    return worst * count
+    shell = [s for s, ring in _shifts(q, M, R) if ring == R]
+    return max([0.0] + [float(np.max(np.abs(spectrum_fn(s)))) for s in shell]) * len(shell)

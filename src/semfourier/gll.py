@@ -102,7 +102,15 @@ def _lp_and_lpm1(P: int, xi: np.ndarray):
 
 
 @lru_cache(maxsize=None)
-def _gll_rule_cached(P: int) -> GllRule:
+def gll_rule(P: int) -> GllRule:
+    """Build the degree-P Gauss-Lobatto-Legendre rule (cached by degree).
+
+    Args:
+        P: nodal polynomial degree, 1 <= P <= 2048. Degrees above 64 are
+            meant for quadrature oracles rather than field bases.
+    """
+    if not 1 <= P <= MAX_RULE_DEGREE:
+        raise ValueError(f"degree out of range [1, {MAX_RULE_DEGREE}]: {P}")
     if P == 1:
         return GllRule(1, np.array([-1.0, 1.0]), np.array([1.0, 1.0]))
 
@@ -131,18 +139,6 @@ def _gll_rule_cached(P: int) -> GllRule:
     lp, _ = _lp_and_lpm1(P, nodes)
     weights = 2.0 / (P * (P + 1) * lp * lp)
     return GllRule(P, nodes, weights)
-
-
-def gll_rule(P: int) -> GllRule:
-    """Build the degree-P Gauss-Lobatto-Legendre rule (cached).
-
-    Args:
-        P: nodal polynomial degree, 1 <= P <= 2048. Degrees above 64 are
-            meant for quadrature oracles rather than field bases.
-    """
-    if not 1 <= P <= MAX_RULE_DEGREE:
-        raise ValueError(f"degree out of range [1, {MAX_RULE_DEGREE}]: {P}")
-    return _gll_rule_cached(P)
 
 
 @dataclass(frozen=True)

@@ -100,17 +100,19 @@ def spectrum_decay_profile(spectrum: Spectrum, direction,
         direction: integer direction vector to walk multiples of, or the
             string "shell-max" for the max magnitude on each shell
             ||q||_inf = n.
-        component: component to profile; None takes the max over
-            components.
+        component: component to profile, 0 <= component < C; None takes
+            the max over components.
 
     Returns:
         DecayProfile with |q| measured in the Euclidean norm along rays
         and by shell index for "shell-max"; the slope is the least-squares
         log-log fit over the positive entries (NaN if fewer than two).
     """
+    C = spectrum.components
+    if component is not None and not 0 <= component < C:
+        raise ValueError(f"component {component} out of range 0..{C - 1}")
     mags = np.abs(spectrum.values)
-    take = (lambda row: float(np.max(row))) if component is None else (
-        lambda row: float(row[component]))
+    mags = np.max(mags, axis=1) if component is None else mags[:, component]
     pts: list[tuple[float, float]] = []
     if isinstance(direction, str):
         if direction != "shell-max":
@@ -118,7 +120,7 @@ def spectrum_decay_profile(spectrum: Spectrum, direction,
         shells: dict[int, float] = {}
         for i, q in enumerate(spectrum.waves.qs):
             n = max(abs(c) for c in q)
-            v = take(mags[i])
+            v = float(mags[i])
             if n not in shells or v > shells[n]:
                 shells[n] = v
         pts = [(float(n), shells[n]) for n in sorted(shells) if n > 0]
@@ -129,7 +131,7 @@ def spectrum_decay_profile(spectrum: Spectrum, direction,
         norm = math.sqrt(sum(c * c for c in v_dir))
         m = 1
         while (q := tuple(m * c for c in v_dir)) in spectrum.waves:
-            pts.append((m * norm, take(mags[spectrum.waves.index(q)])))
+            pts.append((m * norm, float(mags[spectrum.waves.index(q)])))
             m += 1
     slope = fit_loglog_slope([p[0] for p in pts], [p[1] for p in pts])
     return DecayProfile(tuple(pts), slope)

@@ -633,17 +633,22 @@ def write_field(field: NodalField, path) -> None:
         fh.write(np.ascontiguousarray(field.values, dtype="<f8").tobytes())
 
 
+def _check_field_header(d, P, K, mesh: Mesh) -> None:
+    """The (d, P, K) of a field file of either format against its mesh."""
+    if (d, P, K) != (mesh.d, mesh.P, mesh.K):
+        raise ValueError(
+            f"field header (d={d}, P={P}, K={K}) does not match mesh "
+            f"(d={mesh.d}, P={mesh.P}, K={mesh.K})"
+        )
+
+
 def read_field(path, mesh: Mesh) -> NodalField:
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < 32 or raw[:4] != _FIELD_MAGIC:
         raise ValueError("not a field file")
     _, d, P, K, C = _HEADER.unpack(raw[: _HEADER.size])
-    if (d, P, K) != (mesh.d, mesh.P, mesh.K):
-        raise ValueError(
-            f"field header (d={d}, P={P}, K={K}) does not match mesh "
-            f"(d={mesh.d}, P={mesh.P}, K={mesh.K})"
-        )
+    _check_field_header(d, P, K, mesh)
     count = K * (P + 1) ** d * C
     if len(raw) - 32 != 8 * count:
         raise ValueError(f"field file truncated or overlong: {len(raw) - 32} "
@@ -667,12 +672,22 @@ def write_field_json(field: NodalField, path) -> None:
 
 
 def read_field_json(path, mesh: Mesh) -> NodalField:
+    """Field from the JSON of ``write_field_json``; ValueError names any fault."""
     with open(path) as fh:
         data = json.load(fh)
-    if (data["d"], data["P"], data["K"]) != (mesh.d, mesh.P, mesh.K):
-        raise ValueError("field header does not match mesh")
-    C = int(data["components"])
-    vals = np.asarray(data["values"], dtype=float)
+    if not isinstance(data, dict):
+        raise ValueError("field file is not a JSON object")
+    for key in ("d", "P", "K", "components"):
+        if type(data.get(key)) is not int:
+            raise ValueError(f"field '{key}' is missing or not an integer: {data.get(key)!r}")
+    _check_field_header(data["d"], data["P"], data["K"], mesh)
+    if not isinstance(data.get("values"), list):
+        raise ValueError("field lacks a 'values' list")
+    try:
+        vals = np.asarray(data["values"], dtype=float)
+    except TypeError:
+        raise ValueError("field 'values' are not all numbers") from None
+    C = data["components"]
     expect = mesh.K * mesh.nodes_per_element * C
     if vals.shape != (expect,):
         raise ValueError(f"field holds {vals.size} values, expected {expect}")

@@ -166,22 +166,16 @@ class Spectrum:
         return self.values[self.waves.index(q)]
 
     def conjugate_symmetry_error(self) -> float:
-        """Max |u_hat(-q) - conj(u_hat(q))| over pairs present in the set.
+        """Max |u_hat(-q) - conj(u_hat(q))| over pairs present in the set,
+        each -q looked up in the wave set's index; 0.0 if there is none.
 
         Exactly 0 for spectra of real fields from the product path of
         ``contract_waves`` (every box), which folds F(-q) = conj F(q) into
         its arithmetic; the rows path and ``compensated=True`` compute each
         wave on its own and leave rounding-level residuals.
         """
-        axis_values, m = self.waves.axis_index
-        n = len(m)
-        q = np.stack([v[m[:, t]] for t, v in enumerate(axis_values)], axis=1)
-        # ids of the distinct rows among q and -q; -q_i is wave j[i], or -1
-        _, ids = np.unique(np.concatenate([q, -q]), axis=0, return_inverse=True)
-        ids = ids.reshape(-1)
-        wave_of = np.full(2 * n, -1)
-        wave_of[ids[:n]] = np.arange(n)
-        j = wave_of[ids[n:]]
+        index = self.waves._positions
+        j = np.array([index.get(tuple(-c for c in q), -1) for q in self.waves.qs], dtype=int)
         i = np.flatnonzero(j >= 0)
         gap = np.abs(self.values[j[i]] - np.conj(self.values[i]))
         return float(np.max(gap, initial=0.0))
@@ -380,13 +374,20 @@ class TransformPlan:
             a.setflags(write=False)
 
     def basis_coefficient(self, qi: int, k: int, j_flat: int) -> complex:
-        """phi_hat of node j_flat (storage order) of element k at wave qi."""
-        m, n = self.waves.axis_index[1][qi], self.mesh.P + 1
-        folds = self.waves.axis_folds
-        return complex(math.prod(
-            [_table_row(F, folds[t], m[t], k)[j_flat // n ** t % n]
-             for t, F in enumerate(self.factors)],
-            start=complex(self.weight[k])))
+        """phi_hat of node j_flat (storage order) of element k at wave qi,
+        by ``_coefficient`` as in ``phi_hat``."""
+        n = self.mesh.P + 1
+        j = [j_flat // n ** t % n for t in range(self.mesh.d)]
+        return _coefficient(self.factors, self.waves.axis_folds, self.weight,
+                            self.waves.axis_index[1][qi], k, j)
+
+
+def _coefficient(factors, folds, weight, m, k, j) -> complex:
+    """weight[k] prod_t F_t[k, q_t, j_t] for the wave with distinct-value
+    indices m, the factors multiplied in axis order after the weight."""
+    return complex(math.prod(
+        [_table_row(F, fold, mt, k)[jt] for F, fold, mt, jt in zip(factors, folds, m, j)],
+        start=complex(weight[k])))
 
 
 def build_plan(mesh: Mesh, rule: GllRule, table: LegendreCoeffTable,
@@ -406,8 +407,8 @@ def phi_hat(rule: GllRule, table: LegendreCoeffTable, element: Element,
         q: integer wavevector of matching dimension.
 
     Builds one-element tables with the plan's table builder and multiplies
-    them in the same order, so values agree bitwise with
-    ``TransformPlan.basis_coefficient``.
+    them with the plan's product, ``_coefficient``, so values agree bitwise
+    with ``TransformPlan.basis_coefficient``.
     """
     d = element.d
     j_tup = (j,) if np.isscalar(j) else tuple(j)
@@ -419,9 +420,7 @@ def phi_hat(rule: GllRule, table: LegendreCoeffTable, element: Element,
     a, h, _, H, L = element_arrays([element], d)
     folds = [_fold(np.array([int(v)])) for v in q_tup]
     tables, weight, _ = _factor_tables(a, h, H, L, [u for u, *_ in folds], table)
-    return complex(math.prod(
-        [_table_row(F, fold, 0, 0)[jt] for F, fold, jt in zip(tables, folds, j_tup)],
-        start=complex(weight[0])))
+    return _coefficient(tables, folds, weight, [0] * d, 0, j_tup)
 
 
 def transform(field: NodalField, plan: TransformPlan,
@@ -504,17 +503,21 @@ def write_spectrum_csv(spectrum: Spectrum, path, extra_col=None) -> None:
 
 def read_spectrum_csv(path) -> Spectrum:
     """Read a spectrum CSV produced by ``write_spectrum_csv``; a file without
-    rows, with a repeated (q, component) row or a missing component fails."""
+    rows, with a row whose field count differs from the header's, with a
+    repeated (q, component) row or a missing component fails."""
     with open(path) as fh:
-        rows = [line.strip() for line in fh if line.strip()]
+        rows = [(lineno, line.strip()) for lineno, line in enumerate(fh, 1) if line.strip()]
     if len(rows) < 2:
         raise ValueError(f"{path}: no spectrum rows")
-    header = rows[0].split(",")
+    header = rows[0][1].split(",")
     d = sum(1 for name in header if name.startswith("q") and name[1:].isdigit())
     ic, ire, iim = header.index("component"), header.index("re"), header.index("im")
     data: dict[tuple, dict[int, complex]] = {}
-    for line in rows[1:]:
+    for lineno, line in rows[1:]:
         parts = line.split(",")
+        if len(parts) != len(header):
+            raise ValueError(f"{path}, line {lineno}: {len(parts)} fields, "
+                             f"expected {len(header)}")
         q, c = tuple(int(parts[t]) for t in range(d)), int(parts[ic])
         if c in data.setdefault(q, {}):
             raise ValueError(f"{path}: repeated row for q={q}, component {c}")

@@ -32,6 +32,14 @@ def test_zero_argument_is_kronecker_delta():
     assert np.all(col[1:] == 0.0)
 
 
+@pytest.mark.parametrize("r", [0.0, -0.0])
+def test_zero_argument_is_kronecker_delta_to_the_bit(r):
+    for P in range(65):
+        expect = np.zeros(P + 1)
+        expect[0] = 1.0
+        assert bessel_column(r, P).tobytes() == expect.tobytes()
+
+
 @pytest.mark.parametrize("r", [0.2, 0.499, 3.0, 17.5])
 def test_negative_argument_parity_is_exact(r):
     pos = bessel_column(r, 9)

@@ -22,12 +22,14 @@ from semfourier.mesh import (
     save_mesh,
     uniform_mesh,
     write_field,
+    write_field_json,
 )
 from semfourier.transform import (
     WaveSet,
     build_plan,
     read_spectrum_csv,
     transform,
+    write_spectrum_csv,
 )
 
 
@@ -231,6 +233,59 @@ def test_negative_series_truncation_exits_1(tmp_path):
     assert proc.returncode == 1
     assert proc.stderr == "error: series truncation must be nonnegative: -1\n"
     assert not (tmp_path / "x.bin").exists()
+
+
+def _field_json(edit):
+    def write(tmp_path):
+        data = json.loads((tmp_path / "field.json").read_text())
+        (tmp_path / "field.json").write_text(json.dumps(edit(data)))
+        return ["transform", "--mesh", tmp_path / "mesh.json",
+                "--field", tmp_path / "field.json", "--qmax", 2]
+    return write
+
+
+def _truncated_spectrum(tmp_path):
+    lines = (tmp_path / "spec.csv").read_text().splitlines()
+    lines[2] = lines[2].rsplit(",", 1)[0]
+    (tmp_path / "spec.csv").write_text("\n".join(lines) + "\n")
+    return ["decay", "--spectrum", tmp_path / "spec.csv", "--direction", "1",
+            "--out", tmp_path / "profile.csv"]
+
+
+def _decay_component(c):
+    return lambda tmp_path: ["decay", "--spectrum", tmp_path / "spec.csv",
+                             "--direction", "shell-max", "--component", c,
+                             "--out", tmp_path / "profile.csv"]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (_decay_component(5), "component 5 out of range 0..0"),
+    (_decay_component(-1), "component -1 out of range 0..0"),
+    (_truncated_spectrum, "spec.csv, line 3: 4 fields, expected 5"),
+    (_field_json(lambda data: [data]), "field file is not a JSON object"),
+    (_field_json(lambda data: {k: v for k, v in data.items() if k != "P"}),
+     "field 'P' is missing or not an integer: None"),
+    (_field_json(lambda data: dict(data, K=True)), "field 'K' is missing or not an integer: True"),
+    (_field_json(lambda data: dict(data, components=1.5)),
+     "field 'components' is missing or not an integer: 1.5"),
+    (lambda tmp_path: ["case", "sample", "--name", "legendre_x", "--mesh",
+                       tmp_path / "mesh.json", "--out", tmp_path / "x.bin"],
+     "unknown case 'legendre_x'"),
+], ids=["component-5", "component-minus-1", "short-csv-row", "json-list", "json-no-P",
+        "json-bool-K", "json-float-components", "legendre_x"])
+def test_bad_inputs_exit_1_with_one_error_line(tmp_path, argv, message):
+    mesh = uniform_mesh(1, 4, 3)
+    save_mesh(mesh, tmp_path / "mesh.json")
+    rule = gll_rule(3)
+    field = sample_field(mesh, rule, case_sin().func)
+    write_field_json(field, tmp_path / "field.json")
+    write_spectrum_csv(transform(field, build_plan(mesh, rule, legendre_coeffs(rule),
+                                                   WaveSet.box(1, 4))), tmp_path / "spec.csv")
+    proc = run_cli(*argv(tmp_path), check=False)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert message in proc.stderr and "Traceback" not in proc.stderr
+    assert not (tmp_path / "profile.csv").exists() and not (tmp_path / "x.bin").exists()
 
 
 def test_converge_and_decay_round_trip(tmp_path):

@@ -350,6 +350,15 @@ def test_conjugate_symmetry_error_matches_per_wave_loop(waves):
     assert spec.conjugate_symmetry_error() == _symmetry_oracle(spec)
 
 
+@pytest.mark.parametrize("waves", [
+    WaveSet(3, ()), WaveSet.from_list([(5,), (-4,), (3,)]),
+    WaveSet.from_list([(1, 2), (-1, 2), (2, -1), (0, 1)]),
+], ids=["empty", "no-pairs-1d", "no-pairs-2d"])
+def test_conjugate_symmetry_error_is_zero_without_pairs(waves):
+    values = np.full((len(waves), 2), 1.0 + 2.0j)
+    assert Spectrum(waves, values).conjugate_symmetry_error() == 0.0
+
+
 def test_shuffled_box_takes_the_product_and_keeps_wave_order():
     mesh = refine(uniform_mesh(2, 2, 3), [2])
     box = WaveSet.box(2, 3)

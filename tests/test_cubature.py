@@ -148,6 +148,13 @@ def test_aliasing_of_pure_mode_hits_single_shift():
     assert aliasing_error(case.exact_coeff, (1,), 16, R=4)[()] == 0.0
 
 
+@pytest.mark.parametrize("M,R", [(4, -1), (0, 2), (-3, 1)])
+@pytest.mark.parametrize("fn", [aliasing_error, aliasing_tail_estimate])
+def test_aliasing_sums_reject_bad_shift_lattices(fn, M, R):
+    with pytest.raises(ValueError, match="M must be positive and R nonnegative"):
+        fn(case_sin().exact_coeff, (1,), M, R)
+
+
 def test_tail_estimate_tracks_outer_shell():
     def spectrum_fn(q):
         n = abs(q[0])

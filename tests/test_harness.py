@@ -101,6 +101,14 @@ def test_decay_profile_component_selection():
     assert spectrum_decay_profile(spec, (1,)).slope == pytest.approx(-3.0)
 
 
+@pytest.mark.parametrize("component", [2, -1, 5])
+@pytest.mark.parametrize("direction", [(1,), "shell-max"])
+def test_decay_profile_rejects_component_out_of_range(direction, component):
+    spec = Spectrum(WaveSet.from_list([(1,), (2,)]), np.ones((2, 2), dtype=complex))
+    with pytest.raises(ValueError, match=f"component {component} out of range 0..1"):
+        spectrum_decay_profile(spec, direction, component=component)
+
+
 def test_profile_csv_layout(tmp_path):
     prof = DecayProfile(((1.0, 0.5), (2.0, 0.125)), -2.0)
     path = tmp_path / "profile.csv"

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -512,6 +513,37 @@ def test_field_json_round_trip(tmp_path):
     assert np.array_equal(back.values, field.values)
     with pytest.raises(ValueError, match="does not match"):
         read_field_json(path, uniform_mesh(1, 4, 2))
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda data: [data], "not a JSON object"),
+    (lambda data: {k: v for k, v in data.items() if k != "K"}, "field 'K' is missing or not an integer: None"),
+    (lambda data: dict(data, d=True), "field 'd' is missing or not an integer: True"),
+    (lambda data: dict(data, components=1.5), "'components' is missing or not an integer: 1.5"),
+    (lambda data: dict(data, values=None), "lacks a 'values' list"),
+    (lambda data: dict(data, values=[{}] * 6), "'values' are not all numbers"),
+], ids=["list", "no-K", "bool-d", "float-components", "no-values", "object-values"])
+def test_malformed_field_json_raises_value_error(tmp_path, edit, message):
+    mesh = uniform_mesh(1, 2, 2)
+    path = tmp_path / "f.json"
+    write_field_json(NodalField(mesh, np.ones((2, 3, 1))), path)
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        read_field_json(path, mesh)
+
+
+def test_both_field_formats_report_a_mesh_mismatch_alike(tmp_path):
+    field = NodalField(uniform_mesh(1, 2, 2), np.ones((2, 3, 1)))
+    write_field(field, tmp_path / "f.bin")
+    write_field_json(field, tmp_path / "f.json")
+    other = uniform_mesh(1, 4, 2)
+    messages = []
+    for read, name in ((read_field, "f.bin"), (read_field_json, "f.json")):
+        with pytest.raises(ValueError) as info:
+            read(tmp_path / name, other)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1] == \
+        "field header (d=1, P=2, K=2) does not match mesh (d=1, P=2, K=4)"
 
 
 def _eval_oracle(field, X):
