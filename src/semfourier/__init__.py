@@ -1,61 +1,5 @@
 """Exact global Fourier coefficients of spectral-element fields on box meshes."""
 
-from .gll import (
-    GllRule,
-    LegendreCoeffTable,
-    gll_rule,
-    interp_eval,
-    interp_matrix,
-    legendre_all,
-    legendre_coeffs,
-    legendre_eval,
-)
-from .bessel import bessel_column, bessel_identity_residual
-from .mesh import (
-    Element,
-    Mesh,
-    NodalField,
-    eval_field,
-    eval_field_many,
-    gll_node_positions,
-    load_mesh,
-    map_to_physical,
-    map_to_reference,
-    read_field,
-    refine,
-    refine_by_indicator,
-    sample_field,
-    save_mesh,
-    uniform_mesh,
-    write_field,
-)
-from .transform import (
-    Spectrum,
-    TransformPlan,
-    WaveSet,
-    build_plan,
-    phi_hat,
-    read_spectrum_csv,
-    rms_relative_error,
-    transform,
-    write_spectrum_csv,
-)
-from .cubature import TrigGrid, aliasing_error, aliasing_tail_estimate, cubature_transform
-from .cases import (
-    AnalyticCase,
-    burgers_profile,
-    case_burgers_t,
-    case_burgers_t0,
-    case_legendre,
-    case_rotated_series,
-    case_sin,
-    exact_spectrum,
-)
-from .harness import (
-    DecayProfile,
-    convergence_surface,
-    fit_loglog_slope,
-    spectrum_decay_profile,
-)
+from . import bessel, cases, cubature, gll, harness, mesh, transform
 
 __version__ = "0.1.0"

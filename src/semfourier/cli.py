@@ -256,12 +256,12 @@ def _cmd_field_sample(args) -> None:
     if args.case:
         case = _make_case(args.case, args)
         if case.d != mesh.d:
-            raise SystemExit(f"case dimension {case.d} != mesh dimension {mesh.d}")
+            raise ValueError(f"case dimension {case.d} != mesh dimension {mesh.d}")
         func = case.func
     elif args.expr:
         func = _expr_sampler(args.expr, mesh.d)
     else:
-        raise SystemExit("need --case or --expr")
+        raise ValueError("need --case or --expr")
     _write_field_path(sample_field(mesh, rule, func), args.out)
 
 
@@ -293,6 +293,8 @@ def _cmd_case_list(args) -> None:
 
 
 def _cmd_converge(args) -> None:
+    if args.case != "sin" and not args.case.startswith("legendre_"):
+        raise ValueError(f"converge takes a 1D case (sin, legendre_<p>), not {args.case!r}")
     case = _make_case(args.case, args)
     K_list = []
     K = 1
@@ -393,7 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--Pmax", type=int, default=10)
     p.add_argument("--qmax", type=int, default=16)
     p.add_argument("--out", required=True)
-    _add_case_params(p)
     p.set_defaults(func=_cmd_converge)
 
     p = sub.add_parser("decay", help="decay profile of a spectrum CSV")

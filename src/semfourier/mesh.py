@@ -349,7 +349,7 @@ def gll_node_positions(mesh: Mesh, rule: GllRule) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class NodalField:
-    """Nodal values on a mesh, shape (K, (P+1)^d, C)."""
+    """Nodal values on a mesh, shape (K, (P+1)^d, C), every one finite."""
 
     mesh: Mesh
     values: np.ndarray
@@ -360,6 +360,8 @@ class NodalField:
             raise ValueError(
                 f"values shape {self.values.shape} does not match mesh {expect}"
             )
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError("field has non-finite nodal values")
         self.values.setflags(write=False)
 
     @property
@@ -386,8 +388,6 @@ def sample_field(mesh: Mesh, rule: GllRule, f) -> NodalField:
         vals = vals[:, None]
     if vals.shape[0] != flat.shape[0]:
         raise ValueError("sampler returned wrong number of values")
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("sampler returned non-finite values")
     return NodalField(mesh, vals.reshape(mesh.K, -1, vals.shape[1]).copy())
 
 

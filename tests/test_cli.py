@@ -15,6 +15,7 @@ from semfourier.cases import case_sin
 from semfourier.cli import _expr_sampler, main
 from semfourier.gll import gll_rule, legendre_coeffs
 from semfourier.mesh import (
+    NodalField,
     load_mesh,
     mesh_to_dict,
     read_field,
@@ -221,7 +222,7 @@ def test_sample_rejects_case_of_other_dimension(tmp_path, command, name_flag):
     proc = run_cli(*command, name_flag, "rotser", "--mesh", mesh_path,
                    "--out", tmp_path / "x.bin", check=False)
     assert proc.returncode == 1
-    assert proc.stderr == "case dimension 2 != mesh dimension 1\n"
+    assert proc.stderr == "error: case dimension 2 != mesh dimension 1\n"
     assert not (tmp_path / "x.bin").exists()
 
 
@@ -271,8 +272,11 @@ def _decay_component(c):
     (lambda tmp_path: ["case", "sample", "--name", "legendre_x", "--mesh",
                        tmp_path / "mesh.json", "--out", tmp_path / "x.bin"],
      "unknown case 'legendre_x'"),
+    (lambda tmp_path: ["field", "sample", "--mesh", tmp_path / "mesh.json",
+                       "--out", tmp_path / "x.bin"],
+     "need --case or --expr"),
 ], ids=["component-5", "component-minus-1", "short-csv-row", "json-list", "json-no-P",
-        "json-bool-K", "json-float-components", "legendre_x"])
+        "json-bool-K", "json-float-components", "legendre_x", "sample-no-source"])
 def test_bad_inputs_exit_1_with_one_error_line(tmp_path, argv, message):
     mesh = uniform_mesh(1, 4, 3)
     save_mesh(mesh, tmp_path / "mesh.json")
@@ -286,6 +290,35 @@ def test_bad_inputs_exit_1_with_one_error_line(tmp_path, argv, message):
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert message in proc.stderr and "Traceback" not in proc.stderr
     assert not (tmp_path / "profile.csv").exists() and not (tmp_path / "x.bin").exists()
+
+
+@pytest.mark.parametrize("name", ["field.bin", "field.json"])
+def test_transform_of_non_finite_field_file_exits_1(tmp_path, name):
+    mesh = uniform_mesh(1, 2, 2)
+    save_mesh(mesh, tmp_path / "mesh.json")
+    field, path = NodalField(mesh, np.ones((2, 3, 1))), tmp_path / name
+    if name.endswith(".bin"):
+        write_field(field, path)
+        raw = path.read_bytes()  # the first nodal value follows the 32-byte header
+        path.write_bytes(raw[:32] + np.array(np.inf, "<f8").tobytes() + raw[40:])
+    else:
+        write_field_json(field, path)
+        path.write_text(path.read_text().replace('"values": [1.0', '"values": [null', 1))
+    proc = run_cli("transform", "--mesh", tmp_path / "mesh.json", "--field", tmp_path / name,
+                   "--qmax", 2, "--out", tmp_path / "spec.csv", check=False)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "non-finite" in proc.stderr and not (tmp_path / "spec.csv").exists()
+
+
+def test_converge_takes_no_case_options(tmp_path):
+    out = tmp_path / "surface.csv"
+    proc = run_cli("converge", "--case", "sin", "--l1", 3, "--out", out, check=False)
+    assert proc.returncode == 2 and "--l1" in proc.stderr
+    proc = run_cli("converge", "--case", "rotser", "--out", out, check=False)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert not out.exists()
 
 
 def test_converge_and_decay_round_trip(tmp_path):

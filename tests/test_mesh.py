@@ -600,6 +600,31 @@ def test_mesh_file_with_non_finite_geometry_is_rejected(tmp_path):
             load_mesh(path)
 
 
+@pytest.mark.parametrize("name,bad", [("f.bin", math.inf), ("f.bin", math.nan),
+                                      ("f.json", "null"), ("f.json", "NaN")])
+def test_field_files_with_non_finite_values_are_rejected(tmp_path, name, bad):
+    mesh = uniform_mesh(1, 2, 2)
+    field, path = NodalField(mesh, np.ones((2, 3, 1))), tmp_path / name
+    if name.endswith(".bin"):
+        write_field(field, path)
+        raw = path.read_bytes()  # the first nodal value follows the 32-byte header
+        path.write_bytes(raw[:32] + np.array(bad, "<f8").tobytes() + raw[40:])
+        read = read_field
+    else:
+        write_field_json(field, path)
+        path.write_text(path.read_text().replace('"values": [1.0', f'"values": [{bad}', 1))
+        read = read_field_json
+    with pytest.raises(ValueError, match="non-finite"):
+        read(path, mesh)
+
+
+def test_nodal_field_rejects_non_finite_values():
+    values = np.ones((2, 3, 1))
+    values[1, 2, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        NodalField(uniform_mesh(1, 2, 2), values)
+
+
 def test_partially_tagged_mesh_is_float():
     # one exact and one float element: the mesh, its plan keys and its
     # file drop the partial tags
