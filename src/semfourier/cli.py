@@ -121,6 +121,8 @@ def _waves_from_args(args, d: int) -> WaveSet:
             except ValueError:
                 raise ValueError(f"{args.qlist}, line {lineno}: "
                                  f"not an integer wavevector: {line!r}") from None
+    if not qs:
+        raise ValueError(f"{args.qlist}: no wavevectors")
     return WaveSet(d, tuple(qs))
 
 
@@ -295,6 +297,8 @@ def _cmd_case_list(args) -> None:
 def _cmd_converge(args) -> None:
     if args.case != "sin" and not args.case.startswith("legendre_"):
         raise ValueError(f"converge takes a 1D case (sin, legendre_<p>), not {args.case!r}")
+    if args.Kmax < 1 or args.Pmax < 1:
+        raise ValueError(f"--Kmax and --Pmax must be at least 1: {args.Kmax}, {args.Pmax}")
     case = _make_case(args.case, args)
     K_list = []
     K = 1

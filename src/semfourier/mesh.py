@@ -6,8 +6,7 @@ the geometry of its K elements once, as (K, d) arrays: float centers and
 half-legs for evaluation and, when every element is a rational multiple
 of pi, exact integers over one common denominator. The integers make
 partition checks and refinement exact and let the transform recognize
-repeated Bessel arguments. Every layer reads these arrays; ``Element``
-is the value type of hand-built meshes and single-element maps.
+repeated Bessel arguments. Every layer reads these arrays.
 
 Node/value ordering is fixed everywhere: elements by index k, nodes within
 an element lexicographically with axis 1 fastest, vector components
@@ -21,7 +20,6 @@ import math
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import pi
 
 import numpy as np
@@ -29,13 +27,9 @@ import numpy as np
 from .gll import GllRule, LegendreCoeffTable, gll_rule, interp_matrix, legendre_coeffs
 
 __all__ = [
-    "Element",
     "Mesh",
     "NodalField",
-    "element_arrays",
     "uniform_mesh",
-    "map_to_physical",
-    "map_to_reference",
     "gll_node_positions",
     "sample_field",
     "eval_field",
@@ -68,55 +62,6 @@ def _check_geometry(a: np.ndarray, h: np.ndarray) -> None:
         raise ValueError("element mapping is singular")
 
 
-@dataclass(frozen=True, eq=False)
-class Element:
-    """One axis-aligned box element.
-
-    Attributes:
-        a: center, shape (d,).
-        hdiag: per-axis half-legs, shape (d,), all nonzero.
-        a_pi: exact center / pi as Fractions, or None if unknown.
-        h_pi: exact half-legs / pi as Fractions, or None.
-    """
-
-    a: np.ndarray
-    hdiag: np.ndarray
-    a_pi: tuple[Fraction, ...] | None = None
-    h_pi: tuple[Fraction, ...] | None = None
-
-    def __post_init__(self):
-        for name in ("a", "hdiag"):
-            v = np.asarray(getattr(self, name), dtype=float)
-            v.setflags(write=False)
-            object.__setattr__(self, name, v)
-        _check_geometry(self.a, self.hdiag)
-
-    @property
-    def d(self) -> int:
-        return self.a.shape[0]
-
-    @property
-    def det_h(self) -> float:
-        return float(np.prod(np.abs(self.hdiag)))
-
-    @property
-    def rational(self) -> bool:
-        return self.a_pi is not None and self.h_pi is not None
-
-    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        half = np.abs(self.hdiag)
-        return self.a - half, self.a + half
-
-
-def element_from_pi(a_pi, h_pi) -> Element:
-    """Element from exact center and half-legs given as multiples of pi."""
-    a_pi = tuple(Fraction(v) for v in a_pi)
-    h_pi = tuple(Fraction(v) for v in h_pi)
-    a = np.array([float(v) * pi for v in a_pi])
-    hdiag = np.array([float(v) * pi for v in h_pi])
-    return Element(a, hdiag, a_pi, h_pi)
-
-
 def _exact_geometry(pairs, d: int):
     """(a, h, A, H, L) from the (numerator, denominator) pairs of x / pi
     listed per element, d for the center and then d for the half-legs.
@@ -137,19 +82,6 @@ def _exact_geometry(pairs, d: int):
     return x[:, 0], x[:, 1], v[:, 0], v[:, 1], L
 
 
-def element_arrays(elements, d: int):
-    """The (K, d) geometry (a, h, A, H, L) of d-dimensional elements, as
-    ``Mesh`` holds it; A, H and L are None unless every element has tags."""
-    rows = [(e.a, e.hdiag, e.a_pi, e.h_pi) for e in elements]
-    if not rows:
-        raise ValueError("mesh needs at least one element")
-    if any(len(r[0]) != d or len(r[1]) != d for r in rows):
-        raise ValueError("element dimension mismatch")
-    if all(r[2] is not None and r[3] is not None for r in rows):
-        return _exact_geometry([(f.numerator, f.denominator) for r in rows for f in r[2] + r[3]], d)
-    return np.array([r[0] for r in rows]), np.array([r[1] for r in rows]), None, None, None
-
-
 class Mesh:
     """A validated partition of [-pi, pi]^d into axis-aligned boxes.
 
@@ -159,38 +91,41 @@ class Mesh:
             float arrays of shape (K, d).
         A, H, L: the exact geometry a = A pi / L, h = H pi / L: integer
             arrays (K, d) over the least common denominator L (int64, or
-            Python ints once 4 max(L, |A|, |H|) reaches 2^63). They are None
-            on a float-only mesh, which includes a mesh built from elements
-            of which only some carry exact tags: those tags are dropped.
+            Python ints once 4 max(L, |A|, |H|) reaches 2^63, as
+            ``_exact_geometry`` gives them), or None on a float-only mesh.
 
-    ``Mesh(d, P, elements)`` converts the elements to these arrays once;
-    ``elements`` is a view of them built on first use. Construction checks
+    ``Mesh(d, P, a, h)`` builds a float-only mesh from float copies of
+    the arrays, and an exact one given A, H and L as well;
+    ``Mesh.from_pi`` builds an exact one from rationals. Construction checks
     containment, pairwise-disjoint interiors (``_first_overlap``) and
     volume closure: exactly on integer geometry, with 1e-12 relative
     tolerance otherwise.
     """
 
-    def __init__(self, d: int, P: int, elements):
-        self._setup(d, P, *element_arrays(elements, d))
-
-    @classmethod
-    def _from_arrays(cls, d, P, a, h, A=None, H=None, L=None) -> Mesh:
-        """Mesh from (K, d) geometry arrays, validated like ``Mesh(...)``."""
-        mesh = cls.__new__(cls)
-        mesh._setup(d, P, a, h, A, H, L)
-        return mesh
-
-    def _setup(self, d, P, a, h, A, H, L) -> None:
+    def __init__(self, d: int, P: int, a, h, A=None, H=None, L=None):
         if not 1 <= d <= MAX_DIM:
             raise ValueError(f"dimension out of range [1, {MAX_DIM}]: {d}")
         if not 1 <= P <= MAX_FIELD_DEGREE:
             raise ValueError(f"degree out of range [1, {MAX_FIELD_DEGREE}]: {P}")
+        a, h = np.array(a, dtype=float), np.array(h, dtype=float)
+        if a.ndim != 2 or a.shape != h.shape or a.shape[1] != d or not a.size:
+            raise ValueError(f"mesh needs centers and half-legs of shape (K, {d}), K >= 1")
         _check_geometry(a, h)
         for v in (a, h, A, H):
             if v is not None:
                 v.setflags(write=False)
         self.d, self.P, self.a, self.h, self.A, self.H, self.L = d, P, a, h, A, H, L
         self.validate()
+
+    @classmethod
+    def from_pi(cls, d: int, P: int, a_pi, h_pi) -> Mesh:
+        """Exact mesh with centers a_pi pi and half-legs h_pi pi, each a
+        (K, d) array of rationals (values ``Fraction`` accepts)."""
+        x = np.array([a_pi, h_pi], dtype=object)
+        if x.ndim != 3 or x.shape[2] != d or not x.size:
+            raise ValueError(f"mesh needs centers and half-legs of shape (K, {d}), K >= 1")
+        fs = map(Fraction, x.transpose(1, 0, 2).ravel())
+        return cls(d, P, *_exact_geometry([(f.numerator, f.denominator) for f in fs], d))
 
     @property
     def K(self) -> int:
@@ -203,13 +138,6 @@ class Mesh:
     @property
     def rational(self) -> bool:
         return self.A is not None
-
-    @cached_property
-    def elements(self) -> tuple[Element, ...]:
-        """The elements, as Element values viewing the geometry arrays."""
-        tags = () if self.A is None else (
-            [tuple(Fraction(v, self.L) for v in row) for row in X.tolist()] for X in (self.A, self.H))
-        return tuple(map(Element, self.a, self.h, *tags))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Mesh):
@@ -306,31 +234,13 @@ def uniform_mesh(d: int, n_per_axis: int, P: int) -> Mesh:
         raise ValueError("need at least one element per axis")
     centers = tensor_grid(np.arange(1 - n_per_axis, n_per_axis, 2), d)
     values = np.stack([centers, np.ones_like(centers)], axis=1).ravel().tolist()
-    return Mesh._from_arrays(d, P, *_exact_geometry([(v, n_per_axis) for v in values], d))
-
-
-def map_to_physical(element: Element, xi) -> np.ndarray:
-    """Map reference coordinates xi in [-1, 1]^d to physical x."""
-    xi_arr = np.asarray(xi, dtype=float)
-    if np.max(np.abs(xi_arr)) > 1.0 + 1e-12:
-        raise ValueError("reference point outside [-1, 1]^d")
-    return element.a + element.hdiag * xi_arr
-
-
-def map_to_reference(element: Element, x) -> np.ndarray:
-    """Map a physical point inside the element back to [-1, 1]^d (clamped)."""
-    x_arr = np.asarray(x, dtype=float)
-    xi = (x_arr - element.a) / element.hdiag
-    slack = 1e-12 * max(1.0, 1.0 / float(np.min(np.abs(element.hdiag))))
-    if np.max(np.abs(xi)) > 1.0 + slack:
-        raise ValueError("point outside element")
-    return np.clip(xi, -1.0, 1.0)
+    return Mesh(d, P, *_exact_geometry([(v, n_per_axis) for v in values], d))
 
 
 def tensor_grid(x, d: int) -> np.ndarray:
     """All points of the grid x^d, lexicographic with axis 1 fastest: (n^d, d).
 
-    Element nodes, uniform element centers, bisection children and
+    Nodes within an element, uniform element centers, bisection children and
     cubature grids all share this order.
     """
     grids = np.meshgrid(*([x] * d), indexing="ij")
@@ -394,7 +304,7 @@ def sample_field(mesh: Mesh, rule: GllRule, f) -> NodalField:
 def _locate(mesh: Mesh, X: np.ndarray) -> np.ndarray:
     """Owning element index for each point, smallest index winning on faces.
 
-    Element k holds the points within its box widened by
+    Each element k holds the points within its box widened by
     1e-12 max(1, |a| + |h|) per axis; -1 marks a point no element holds.
     With the points sorted along axis 1, each element's candidates are one
     contiguous run found by searchsorted, and only those are tested on the
@@ -516,9 +426,9 @@ def refine(mesh: Mesh, flags) -> Mesh:
     c, w = 2 * c[parent], w[parent]
     c, w = np.where(split, c + sign * w, c), np.where(split, w, 2 * w)
     if mesh.A is None:
-        return Mesh._from_arrays(d, mesh.P, c / 2, w / 2)
+        return Mesh(d, mesh.P, c / 2, w / 2)
     values = np.stack([c, w], axis=1).ravel().tolist()
-    return Mesh._from_arrays(d, mesh.P, *_exact_geometry([(v, 2 * mesh.L) for v in values], d))
+    return Mesh(d, mesh.P, *_exact_geometry([(v, 2 * mesh.L) for v in values], d))
 
 
 def refine_by_indicator(mesh: Mesh, field: NodalField, tol: float):
@@ -598,9 +508,9 @@ def mesh_from_dict(data: dict) -> Mesh:
     if np.any(off_diagonal != 0):
         raise ValueError("only axis-aligned (diagonal) maps supported")
     if not tagged:
-        return Mesh._from_arrays(d, P, a.astype(float), h[diagonal].astype(float))
+        return Mesh(d, P, a, h[diagonal])
     pairs = np.concatenate([a, h[diagonal]], axis=1).reshape(-1, 2).tolist()
-    return Mesh._from_arrays(d, P, *_exact_geometry(pairs, d))
+    return Mesh(d, P, *_exact_geometry(pairs, d))
 
 
 def save_mesh(mesh: Mesh, path) -> None:

@@ -34,8 +34,8 @@ from numbers import Integral
 import numpy as np
 
 from .bessel import bessel_column
-from .gll import GllRule, LegendreCoeffTable
-from .mesh import Element, Mesh, NodalField, element_arrays
+from .gll import GllRule, LegendreCoeffTable, gll_rule, legendre_coeffs
+from .mesh import Mesh, NodalField
 
 __all__ = [
     "WaveSet",
@@ -54,7 +54,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class WaveSet:
-    """An ordered set of distinct integer wavevectors in Z^d."""
+    """An ordered set of distinct integer wavevectors in Z^d, each
+    component below 2^63 in magnitude."""
 
     d: int
     qs: tuple[tuple[int, ...], ...]
@@ -65,6 +66,8 @@ class WaveSet:
                 raise ValueError(f"wavevector {q} does not have dimension {self.d}")
             if not all(isinstance(c, int) for c in q):
                 raise ValueError(f"wavevector {q} has non-integer components")
+            if not all(abs(c) < 2 ** 63 for c in q):
+                raise ValueError(f"wavevector {q} has a component outside int64")
         if len(set(self.qs)) != len(self.qs):
             raise ValueError("duplicate wavevectors")
 
@@ -396,30 +399,32 @@ def build_plan(mesh: Mesh, rule: GllRule, table: LegendreCoeffTable,
     return TransformPlan(mesh, rule, table, waves)
 
 
-def phi_hat(rule: GllRule, table: LegendreCoeffTable, element: Element,
-            j, q) -> complex:
-    """Fourier coefficient at q of the cardinal basis through node j.
+def phi_hat(mesh: Mesh, k: int, j, q) -> complex:
+    """Fourier coefficient at q of the cardinal basis through node j of
+    element k of ``mesh``.
 
     Args:
-        rule, table: basis of the element's degree.
-        element: the element carrying the basis function.
+        mesh, k: the mesh and the index of the element.
         j: node multi-index (j_1, .., j_d), or an int in 1D.
         q: integer wavevector of matching dimension.
 
-    Builds one-element tables with the plan's table builder and multiplies
-    them with the plan's product, ``_coefficient``, so values agree bitwise
-    with ``TransformPlan.basis_coefficient``.
+    Builds one-element tables from row k of the geometry arrays with the
+    plan's table builder and multiplies them with the plan's product,
+    ``_coefficient``, so values agree bitwise with
+    ``TransformPlan.basis_coefficient``.
     """
-    d = element.d
+    d = mesh.d
     j_tup = (j,) if np.isscalar(j) else tuple(j)
     q_tup = (q,) if np.isscalar(q) else tuple(q)
     if len(j_tup) != d or len(q_tup) != d:
         raise ValueError("index/wavevector dimension mismatch")
-    if not all(0 <= jt <= table.degree for jt in j_tup):
-        raise IndexError("node index out of range")
-    a, h, _, H, L = element_arrays([element], d)
+    if not (0 <= k < mesh.K and all(0 <= jt <= mesh.P for jt in j_tup)):
+        raise IndexError("element or node index out of range")
+    row = slice(k, k + 1)
     folds = [_fold(np.array([int(v)])) for v in q_tup]
-    tables, weight, _ = _factor_tables(a, h, H, L, [u for u, *_ in folds], table)
+    tables, weight, _ = _factor_tables(
+        mesh.a[row], mesh.h[row], None if mesh.H is None else mesh.H[row], mesh.L,
+        [u for u, *_ in folds], legendre_coeffs(gll_rule(mesh.P)))
     return _coefficient(tables, folds, weight, [0] * d, 0, j_tup)
 
 

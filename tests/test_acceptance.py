@@ -83,13 +83,14 @@ def _quadrature_spectrum(field: NodalField, waves: WaveSet) -> Spectrum:
     mesh = field.mesh
     table = legendre_coeffs(gll_rule(mesh.P))
     r_max = max(
-        abs(q[t]) * abs(e.hdiag[t])
-        for q in waves.qs for e in mesh.elements for t in range(mesh.d)
+        abs(q[t]) * abs(mesh.h[k, t])
+        for q in waves.qs for k in range(mesh.K) for t in range(mesh.d)
     )
     rule_q = gll_rule(max(4 * mesh.P, math.ceil(r_max) + 24))
     out = np.zeros((len(waves), field.components), dtype=complex)
     scale = 1.0 / (2.0 * math.pi) ** mesh.d
-    for k, e in enumerate(mesh.elements):
+    for k in range(mesh.K):
+        a, h = mesh.a[k], mesh.h[k]
         phis = interp_matrix(table, rule_q.nodes)
         vals = field.values[k].reshape((mesh.P + 1,) * mesh.d + (field.components,))
         for _ in range(mesh.d):
@@ -97,13 +98,13 @@ def _quadrature_spectrum(field: NodalField, waves: WaveSet) -> Spectrum:
         vals = np.moveaxis(vals, 0, -1)
         for qi, q in enumerate(waves.qs):
             w1d = [
-                rule_q.weights * np.exp(-1j * q[t] * (e.a[t] + e.hdiag[t] * rule_q.nodes))
+                rule_q.weights * np.exp(-1j * q[t] * (a[t] + h[t] * rule_q.nodes))
                 for t in range(mesh.d)
             ]
             w = w1d[mesh.d - 1]
             for t in range(mesh.d - 2, -1, -1):
                 w = np.multiply.outer(w, w1d[t])
-            out[qi] += scale * e.det_h * np.tensordot(
+            out[qi] += scale * float(np.prod(np.abs(h))) * np.tensordot(
                 w, vals.reshape(w.shape + (field.components,)), axes=mesh.d
             )
     return Spectrum(waves, out)
@@ -293,7 +294,7 @@ def test_rotated_lattice_series_on_adaptively_refined_mesh():
         base, sample_field(base, rule, case.func), 0.1
     )
     dof = mesh.K * (P + 1) ** 2
-    sizes = {float(e.hdiag[0]) for e in mesh.elements}
+    sizes = {float(v) for v in mesh.h[:, 0]}
     assert 0 < int(np.sum(flags)) < base.K   # strict subset: hanging nodes
     assert len(sizes) > 1
     assert dof <= 64 * 36

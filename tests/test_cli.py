@@ -161,10 +161,9 @@ def test_malformed_qlist_names_file_and_line(tmp_path, capsys):
                                "--qlist", str(qlist), "--out", out])
         err = capsys.readouterr().err
         assert code == 1 and f"{qlist}, line 3:" in err and "'1 2.5'" in err
-    # a list of comments only gives a header-only CSV, which decay refuses
-    qlist.write_text("# no waves\n")
-    assert main(["transform", "--mesh", mesh_path, "--field", field_path,
-                 "--qlist", str(qlist), "--out", out]) == 0
+    # decay refuses a header-only CSV
+    with open(out, "w") as fh:
+        fh.write("q1,q2,component,re,im,abs\n")
     assert main(["decay", "--spectrum", out, "--direction", "1,0",
                  "--out", str(tmp_path / "profile.csv")]) == 1
     assert f"{out}: no spectrum rows" in capsys.readouterr().err
@@ -253,6 +252,20 @@ def _truncated_spectrum(tmp_path):
             "--out", tmp_path / "profile.csv"]
 
 
+def _qlist(text):
+    def write(tmp_path):
+        (tmp_path / "qs.txt").write_text(text)
+        return ["transform", "--mesh", tmp_path / "mesh.json", "--field",
+                tmp_path / "field.json", "--qlist", tmp_path / "qs.txt",
+                "--out", tmp_path / "profile.csv"]
+    return write
+
+
+def _converge(*sizes):
+    return lambda tmp_path: ["converge", "--case", "sin", *sizes,
+                             "--out", tmp_path / "profile.csv"]
+
+
 def _decay_component(c):
     return lambda tmp_path: ["decay", "--spectrum", tmp_path / "spec.csv",
                              "--direction", "shell-max", "--component", c,
@@ -275,8 +288,16 @@ def _decay_component(c):
     (lambda tmp_path: ["field", "sample", "--mesh", tmp_path / "mesh.json",
                        "--out", tmp_path / "x.bin"],
      "need --case or --expr"),
+    (_qlist("# past int64\n99999999999999999999\n"),
+     "wavevector (99999999999999999999,) has a component outside int64"),
+    (_qlist(""), "qs.txt: no wavevectors"),
+    (_qlist("# only comments\n\n   \n"), "qs.txt: no wavevectors"),
+    (_converge("--Kmax", "0"), "--Kmax and --Pmax must be at least 1: 0, 10"),
+    (_converge("--Pmax", "-1"), "--Kmax and --Pmax must be at least 1: 64, -1"),
 ], ids=["component-5", "component-minus-1", "short-csv-row", "json-list", "json-no-P",
-        "json-bool-K", "json-float-components", "legendre_x", "sample-no-source"])
+        "json-bool-K", "json-float-components", "legendre_x", "sample-no-source",
+        "qlist-past-int64", "qlist-empty", "qlist-comments-only", "converge-Kmax-0",
+        "converge-Pmax-negative"])
 def test_bad_inputs_exit_1_with_one_error_line(tmp_path, argv, message):
     mesh = uniform_mesh(1, 4, 3)
     save_mesh(mesh, tmp_path / "mesh.json")

@@ -4,7 +4,6 @@ contraction, thread-count determinism, and the per-row loops they
 replaced, kept here as oracles."""
 
 import hashlib
-import importlib
 import os
 import subprocess
 import sys
@@ -15,6 +14,7 @@ import numpy as np
 import pytest
 
 import semfourier
+import semfourier.transform as T
 from semfourier.gll import gll_rule, legendre_coeffs
 from semfourier.mesh import NodalField, refine, uniform_mesh
 from semfourier.transform import (
@@ -26,7 +26,6 @@ from semfourier.transform import (
     transform,
 )
 
-T = importlib.import_module("semfourier.transform")
 EPS = np.finfo(float).eps
 
 

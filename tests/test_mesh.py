@@ -16,17 +16,13 @@ import semfourier.mesh as mesh_module
 from semfourier.gll import gll_rule, interp_matrix, legendre_coeffs, legendre_eval
 from semfourier.mesh import (
     _locate,
-    Element,
     Mesh,
     NodalField,
-    element_from_pi,
     element_indicator,
     eval_field,
     eval_field_many,
     gll_node_positions,
     load_mesh,
-    map_to_physical,
-    map_to_reference,
     mesh_from_dict,
     mesh_to_dict,
     nodal_to_modal,
@@ -42,20 +38,43 @@ from semfourier.mesh import (
 )
 
 
+def _tags(mesh, k):
+    """Exact center and half-legs / pi of element k as Fraction tuples,
+    or (None, None) on a float mesh."""
+    if not mesh.rational:
+        return None, None
+    return tuple(tuple(Fraction(int(v), mesh.L) for v in X[k]) for X in (mesh.A, mesh.H))
+
+
+def _bounds(a, h):
+    half = np.abs(h)
+    return a - half, a + half
+
+
+def _stripped(a_pi, h_pi):
+    """Float copies of rational rows, each value float(f) * pi."""
+    return tuple(np.array([[float(f) * math.pi for f in row] for row in X]) for X in (a_pi, h_pi))
+
+
+def _mesh(d, P, a, h):
+    """Mesh.from_pi on rational rows, Mesh on float arrays."""
+    return Mesh(d, P, a, h) if isinstance(a, np.ndarray) else Mesh.from_pi(d, P, a, h)
+
+
 def test_uniform_mesh_1d_geometry():
     mesh = uniform_mesh(1, 4, 3)
     assert mesh.K == 4 and mesh.d == 1 and mesh.P == 3
-    centers = [e.a[0] for e in mesh.elements]
+    centers = [mesh.a[k, 0] for k in range(mesh.K)]
     np.testing.assert_allclose(
         centers, [-3 * math.pi / 4, -math.pi / 4, math.pi / 4, 3 * math.pi / 4]
     )
-    assert all(e.h_pi == (Fraction(1, 4),) for e in mesh.elements)
+    assert all(_tags(mesh, k)[1] == (Fraction(1, 4),) for k in range(mesh.K))
     assert mesh.rational
 
 
 def test_uniform_mesh_2d_ordering_axis1_fastest():
     mesh = uniform_mesh(2, 2, 1)
-    got = [tuple(e.a_pi) for e in mesh.elements]
+    got = [_tags(mesh, k)[0] for k in range(mesh.K)]
     h = Fraction(1, 2)
     assert got == [
         (-h, -h), (h, -h), (-h, h), (h, h),
@@ -64,50 +83,48 @@ def test_uniform_mesh_2d_ordering_axis1_fastest():
 
 def test_mesh_rejects_bad_partitions():
     h = Fraction(1, 2)
-    a = element_from_pi([-h], [h])
-    b = element_from_pi([h], [h])
-    Mesh(1, 2, [a, b])  # valid two-element split
+    Mesh.from_pi(1, 2, [[-h], [h]], [[h], [h]])  # valid two-element split
     with pytest.raises(ValueError, match="overlap"):
-        Mesh(1, 2, [a, element_from_pi([Fraction(1, 4)], [h])])
+        Mesh.from_pi(1, 2, [[-h], [Fraction(1, 4)]], [[h], [h]])
     with pytest.raises(ValueError, match="close the domain"):
-        Mesh(1, 2, [a, element_from_pi([Fraction(3, 4)], [Fraction(1, 4)])])
+        Mesh.from_pi(1, 2, [[-h], [Fraction(3, 4)]], [[h], [Fraction(1, 4)]])
     with pytest.raises(ValueError, match="outside"):
-        Mesh(1, 2, [a, element_from_pi([Fraction(3, 4)], [h])])
+        Mesh.from_pi(1, 2, [[-h], [Fraction(3, 4)]], [[h], [h]])
     with pytest.raises(ValueError):
-        Mesh(1, 0, [a, b])
+        Mesh.from_pi(1, 0, [[-h], [h]], [[h], [h]])
     with pytest.raises(ValueError):
-        Mesh(4, 2, [])
+        Mesh(4, 2, [], [])
 
 
 def test_float_mesh_validation_paths():
     # same checks without rational tags run in floating point
-    a = Element(np.array([-math.pi / 2]), np.array([math.pi / 2]))
-    b = Element(np.array([math.pi / 2]), np.array([math.pi / 2]))
-    mesh = Mesh(1, 2, [a, b])
+    h = [[math.pi / 2], [math.pi / 2]]
+    mesh = Mesh(1, 2, [[-math.pi / 2], [math.pi / 2]], h)
     assert not mesh.rational
     with pytest.raises(ValueError, match="overlap"):
-        Mesh(1, 2, [a, Element(np.array([0.0]), np.array([math.pi / 2]))])
+        Mesh(1, 2, [[-math.pi / 2], [0.0]], h)
     with pytest.raises(ValueError):
-        Element(np.array([0.0]), np.array([0.0]))
+        Mesh(1, 2, [[-math.pi / 2], [0.0]], [[math.pi / 2], [0.0]])
 
 
-def _pairwise_oracle(elements, d):
+def _pairwise_oracle(a, h, d):
     """Partition checks over every pair of boxes, one at a time.
 
     The brute-force reference for ``Mesh.validate``: same checks, same
-    order, same messages, exact on rational tags and with tolerance
-    1e-12 pi otherwise. Returns the first failure message or None.
+    order, same messages, exact on rational rows (a_pi, h_pi) and with
+    tolerance 1e-12 pi on float arrays. Returns the first failure message
+    or None.
     """
     boxes = []
-    if all(e.rational for e in elements):
+    if not isinstance(a, np.ndarray):
         vol = Fraction(0)
-        for e in elements:
-            lo = tuple(c - abs(h) for c, h in zip(e.a_pi, e.h_pi))
-            hi = tuple(c + abs(h) for c, h in zip(e.a_pi, e.h_pi))
+        for a_pi, h_pi in zip(a, h):
+            lo = tuple(c - abs(hh) for c, hh in zip(a_pi, h_pi))
+            hi = tuple(c + abs(hh) for c, hh in zip(a_pi, h_pi))
             if min(lo) < -1 or max(hi) > 1:
                 return "element extends outside [-pi, pi]^d"
             boxes.append((lo, hi))
-            vol += math.prod(abs(h) for h in e.h_pi)
+            vol += math.prod(abs(hh) for hh in h_pi)
         if vol != 1:
             return "element volumes do not close the domain"
 
@@ -116,12 +133,12 @@ def _pairwise_oracle(elements, d):
     else:
         tol = 1e-12 * math.pi
         vol = 0.0
-        for e in elements:
-            lo, hi = e.bounds()
+        for ak, hk in zip(a, h):
+            lo, hi = _bounds(ak, hk)
             if np.min(lo) < -math.pi - tol or np.max(hi) > math.pi + tol:
                 return "element extends outside [-pi, pi]^d"
             boxes.append((lo, hi))
-            vol += (2.0 ** d) * e.det_h
+            vol += (2.0 ** d) * float(np.prod(np.abs(hk)))
         if abs(vol - (2.0 * math.pi) ** d) > 1e-12 * (2.0 * math.pi) ** d:
             return "element volumes do not close the domain"
 
@@ -145,9 +162,9 @@ def _pair_block(n):
         mesh_module._PAIR_BLOCK = saved
 
 
-def _validation_error(d, elements):
+def _validation_error(d, a, h):
     try:
-        Mesh(d, 1, elements)
+        _mesh(d, 1, a, h)
     except ValueError as exc:
         return str(exc)
     return None
@@ -166,45 +183,46 @@ def _perturbed_dyadic_meshes(draw):
         mesh = refine(mesh, draw(st.lists(st.integers(0, mesh.K - 1), min_size=1,
                                           max_size=4, unique=True)))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    elements = [mesh.elements[k] for k in rng.permutation(mesh.K)]
+    order = rng.permutation(mesh.K)
+    rows_a, rows_h = ([list(_tags(mesh, k)[i]) for k in order] for i in (0, 1))
     kind = draw(st.sampled_from(("move", "resize", "duplicate", "drop", "none")))
     # picking elements by volume moves coarse ones over refined regions,
     # which overlaps several elements at once
-    vol = np.array([e.det_h for e in elements])
-    k = int(rng.choice(len(elements), p=vol / vol.sum()))
+    vol = np.array([float(np.prod(np.abs(mesh.h[k]))) for k in order])
+    k = int(rng.choice(len(rows_a), p=vol / vol.sum()))
     t = draw(st.integers(0, d - 1))
-    e = elements[k]
-    a, h = list(e.a_pi), list(e.h_pi)
+    a, h = list(rows_a[k]), list(rows_h[k])
     if kind == "move":
         step = draw(st.sampled_from((_NUDGE, h[t] / 2, h[t], 2 * h[t])))
         step *= draw(st.sampled_from((-1, 1)))
         if abs(a[t] + step) + h[t] > 1:
             step = -step  # prefer overlaps inside the domain to leaving it
         a[t] += step
-        elements[k] = element_from_pi(a, h)
+        rows_a[k] = a
     elif kind == "resize":
         h[t] *= draw(st.sampled_from((Fraction(1, 2), 2, 1 + _NUDGE)))
-        elements[k] = element_from_pi(a, h)
+        rows_h[k] = h
     elif kind == "duplicate":
-        elements.insert(draw(st.integers(0, len(elements))), e)
-    elif kind == "drop" and len(elements) > 1:
-        del elements[k]
+        i = draw(st.integers(0, len(rows_a)))
+        rows_a.insert(i, a)
+        rows_h.insert(i, h)
+    elif kind == "drop" and len(rows_a) > 1:
+        del rows_a[k], rows_h[k]
     else:
         kind = "none"
-    return d, kind, elements
+    return d, kind, rows_a, rows_h
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(_perturbed_dyadic_meshes(), st.sampled_from((1, 7, 1 << 18)))
 def test_validation_matches_pairwise_oracle(case, block):
-    d, kind, elements = case
-    stripped = [Element(e.a.copy(), e.hdiag.copy()) for e in elements]
+    d, kind, a, h = case
     with _pair_block(block):
-        for boxes in (elements, stripped):
-            expect = _pairwise_oracle(boxes, d)
+        for geometry in ((a, h), _stripped(a, h)):
+            expect = _pairwise_oracle(*geometry, d)
             event(f"{kind}: {expect or 'valid'}")
-            assert _validation_error(d, boxes) == expect
+            assert _validation_error(d, *geometry) == expect
             if kind == "none":
                 assert expect is None
 
@@ -213,39 +231,25 @@ def test_overlap_report_is_lexicographically_first():
     # the sweep meets (1, 2) first, on the left; (0, 3) must be reported
     spans = [(0, Fraction(1, 2)), (-1, Fraction(-1, 2)),
              (Fraction(-3, 4), Fraction(-1, 4)), (Fraction(1, 4), Fraction(3, 4))]
-    rational = [element_from_pi([(lo + hi) / 2], [(hi - lo) / 2]) for lo, hi in spans]
-    stripped = [Element(e.a.copy(), e.hdiag.copy()) for e in rational]
-    for elements in (rational, stripped):
-        assert _pairwise_oracle(elements, 1) == "elements 0 and 3 overlap"
+    rational = [[(lo + hi) / 2] for lo, hi in spans], [[(hi - lo) / 2] for lo, hi in spans]
+    for geometry in (rational, _stripped(*rational)):
+        assert _pairwise_oracle(*geometry, 1) == "elements 0 and 3 overlap"
         with pytest.raises(ValueError, match="elements 0 and 3 overlap"):
-            Mesh(1, 1, elements)
+            _mesh(1, 1, *geometry)
 
 
 def test_exact_validation_beyond_int64():
     # a face at 1/3^40 needs a common denominator past 2^63
     b = Fraction(1, 3 ** 40)
-    left = element_from_pi([(b - 1) / 2], [(b + 1) / 2])
-    Mesh(1, 1, [left, element_from_pi([(b + 1) / 2], [(1 - b) / 2])])
+    h = [[(b + 1) / 2], [(1 - b) / 2]]
+    Mesh.from_pi(1, 1, [[(b - 1) / 2], [(b + 1) / 2]], h)
     # shifting the right element left by 1/3^41 is invisible in floating
     # point but is an exact overlap (and leaves room inside the domain)
     s = Fraction(1, 3 ** 41)
-    right = element_from_pi([(b + 1) / 2 - s], [(1 - b) / 2])
+    a = [[(b - 1) / 2], [(b + 1) / 2 - s]]
     with pytest.raises(ValueError, match="elements 0 and 1 overlap"):
-        Mesh(1, 1, [left, right])
-    assert _pairwise_oracle([left, right], 1) == "elements 0 and 1 overlap"
-
-
-def test_map_round_trip():
-    e = element_from_pi([Fraction(1, 4), Fraction(-1, 2)], [Fraction(1, 4), Fraction(1, 2)])
-    rng = np.random.default_rng(7)
-    for _ in range(10):
-        xi = rng.uniform(-1, 1, 2)
-        x = map_to_physical(e, xi)
-        np.testing.assert_allclose(map_to_reference(e, x), xi, atol=1e-14)
-    with pytest.raises(ValueError):
-        map_to_reference(e, e.a + 3 * np.abs(e.hdiag))
-    with pytest.raises(ValueError):
-        map_to_physical(e, np.array([1.5, 0.0]))
+        Mesh.from_pi(1, 1, a, h)
+    assert _pairwise_oracle(a, h, 1) == "elements 0 and 1 overlap"
 
 
 def test_node_positions_storage_order():
@@ -254,11 +258,11 @@ def test_node_positions_storage_order():
     rule = gll_rule(2)
     pos = gll_node_positions(mesh, rule)
     assert pos.shape == (4, 9, 2)
-    e = mesh.elements[0]
+    a, h = mesh.a[0], mesh.h[0]
     assert pos[0, 1, 0] != pos[0, 0, 0]          # axis 1 moved
     assert pos[0, 1, 1] == pos[0, 0, 1]          # axis 2 did not
-    np.testing.assert_allclose(pos[0, 0], e.a - np.abs(e.hdiag))
-    np.testing.assert_allclose(pos[0, -1], e.a + np.abs(e.hdiag))
+    np.testing.assert_allclose(pos[0, 0], a - np.abs(h))
+    np.testing.assert_allclose(pos[0, -1], a + np.abs(h))
 
 
 def test_sample_and_eval_reproduce_polynomials():
@@ -296,9 +300,10 @@ def test_eval_on_shared_face_is_single_valued():
 def _locate_oracle(mesh, X):
     """Owner of each point by one mask pass per element, smallest k first."""
     owner = np.full(X.shape[0], -1)
-    for k, e in enumerate(mesh.elements):
-        lo, hi = e.bounds()
-        slack = 1e-12 * np.maximum(1.0, np.abs(e.a) + np.abs(e.hdiag))
+    for k in range(mesh.K):
+        a, h = mesh.a[k], mesh.h[k]
+        lo, hi = _bounds(a, h)
+        slack = 1e-12 * np.maximum(1.0, np.abs(a) + np.abs(h))
         inside = np.all((X >= lo - slack) & (X <= hi + slack), axis=1)
         owner[(owner < 0) & inside] = k
     return owner
@@ -311,7 +316,7 @@ def test_locate_on_faces_corners_and_domain_edge(d):
     # every corner, edge midpoint, face centre and centre of every element,
     # which puts points on hanging-node faces, then the domain corners
     unit = np.array(list(np.ndindex(*(3,) * d)), dtype=float) - 1.0
-    nodes = np.concatenate([e.a + e.hdiag * unit for e in mesh.elements])
+    nodes = np.concatenate([mesh.a[k] + mesh.h[k] * unit for k in range(mesh.K)])
     corners = math.pi * (2.0 * np.array(list(np.ndindex(*(2,) * d))) - 1.0)
     # plus points moved within the 1e-12 slack, and moved clearly outside
     X = np.concatenate([nodes, corners, nodes[:40] + 1e-13, nodes[:40] - 1e-13,
@@ -366,15 +371,13 @@ def test_refine_splits_flagged_elements():
     out = refine(mesh, [1])
     assert out.K == 4 - 1 + 4
     assert out.rational
-    parent = mesh.elements[1]
-    children = out.elements[1:5]
-    lo_p, hi_p = parent.bounds()
-    for c in children:
-        assert c.h_pi == tuple(h / 2 for h in parent.h_pi)
-        lo, hi = c.bounds()
+    lo_p, hi_p = _bounds(mesh.a[1], mesh.h[1])
+    for c in range(1, 5):
+        assert _tags(out, c)[1] == tuple(h / 2 for h in _tags(mesh, 1)[1])
+        lo, hi = _bounds(out.a[c], out.h[c])
         assert np.all(lo >= lo_p - 1e-15) and np.all(hi <= hi_p + 1e-15)
     # child order: axis 1 fastest (-,-), (+,-), (-,+), (+,+)
-    offs = [np.sign(c.a - parent.a) for c in children]
+    offs = [np.sign(out.a[c] - mesh.a[1]) for c in range(1, 5)]
     assert [tuple(o) for o in offs] == [(-1, -1), (1, -1), (-1, 1), (1, 1)]
 
 
@@ -389,9 +392,8 @@ def test_refine_mask_and_empty_flags():
 
 
 def test_refine_float_elements():
-    a = Element(np.array([-math.pi / 2]), np.array([math.pi / 2]))
-    b = Element(np.array([math.pi / 2]), np.array([math.pi / 2]))
-    out = refine(Mesh(1, 2, [a, b]), [0])
+    mesh = Mesh(1, 2, [[-math.pi / 2], [math.pi / 2]], [[math.pi / 2], [math.pi / 2]])
+    out = refine(mesh, [0])
     assert out.K == 3 and not out.rational
 
 
@@ -414,10 +416,7 @@ def test_mesh_json_round_trip_keeps_exact_geometry():
     back = mesh_from_dict(json.loads(json.dumps(data)))
     assert back == mesh
     assert back.rational
-    assert all(
-        e1.a_pi == e2.a_pi and e1.h_pi == e2.h_pi
-        for e1, e2 in zip(back.elements, mesh.elements)
-    )
+    assert all(_tags(back, k) == _tags(mesh, k) for k in range(mesh.K))
 
 
 def test_mesh_file_round_trip(tmp_path):
@@ -426,10 +425,7 @@ def test_mesh_file_round_trip(tmp_path):
     save_mesh(mesh, path)
     assert load_mesh(path) == mesh
     # float-only meshes survive too, without the exact tags
-    fl = Mesh(1, 2, [
-        Element(np.array([-math.pi / 2]), np.array([math.pi / 2])),
-        Element(np.array([math.pi / 2]), np.array([math.pi / 2])),
-    ])
+    fl = Mesh(1, 2, [[-math.pi / 2], [math.pi / 2]], [[math.pi / 2], [math.pi / 2]])
     save_mesh(fl, path)
     back = load_mesh(path)
     assert back == fl and not back.rational
@@ -554,8 +550,7 @@ def _eval_oracle(field, X):
     out = np.empty((X.shape[0], field.components))
     for k in np.unique(owner):
         sel = np.flatnonzero(owner == k)
-        e = mesh.elements[k]
-        xi = np.clip((X[sel] - e.a) / e.hdiag, -1.0, 1.0)
+        xi = np.clip((X[sel] - mesh.a[k]) / mesh.h[k], -1.0, 1.0)
         phis = [interp_matrix(table, xi[:, t]) for t in range(mesh.d)]
         U = field.values[k].reshape((mesh.P + 1,) * mesh.d + (field.components,))
         out[sel] = np.einsum(",".join(f"n{c}" for c in "pqr"[:mesh.d])
@@ -578,13 +573,11 @@ def test_blocked_evaluation_matches_per_element_loop(d):
 
 
 def test_non_finite_geometry_is_rejected():
+    h = [[math.pi / 2], [math.pi / 2]]
     with pytest.raises(ValueError, match="not finite"):
-        Element([math.nan], [math.pi / 2])
+        Mesh(1, 2, [[math.nan], [math.pi / 2]], h)
     with pytest.raises(ValueError, match="not finite"):
-        Element(np.array([0.0]), np.array([math.inf]))
-    with pytest.raises(ValueError, match="not finite"):
-        Mesh(1, 2, [Element([math.nan], [math.pi / 2]),
-                    Element([math.pi / 2], [math.pi / 2])])
+        Mesh(1, 2, [[-math.pi / 2], [math.pi / 2]], [[math.pi / 2], [math.inf]])
 
 
 def test_mesh_file_with_non_finite_geometry_is_rejected(tmp_path):
@@ -626,13 +619,12 @@ def test_nodal_field_rejects_non_finite_values():
 
 
 def test_partially_tagged_mesh_is_float():
-    # one exact and one float element: the mesh, its plan keys and its
-    # file drop the partial tags
-    left = element_from_pi([Fraction(-1, 2)], [Fraction(1, 2)])
-    right = Element(np.array([math.pi / 2]), np.array([math.pi / 2]))
-    mesh = Mesh(1, 2, [left, right])
+    # a file with one exact and one float element: the mesh, its plan keys
+    # and its file drop the partial tags
+    data = mesh_to_dict(uniform_mesh(1, 2, 2))
+    del data["elements"][1]["a_over_pi"], data["elements"][1]["h_over_pi"]
+    mesh = mesh_from_dict(data)
     assert not mesh.rational and mesh.A is None and mesh.L is None
-    assert all(not e.rational for e in mesh.elements)
     data = mesh_to_dict(mesh)
     assert all("a_over_pi" not in e for e in data["elements"])
     assert mesh_from_dict(data) == mesh
@@ -643,49 +635,52 @@ def test_exact_geometry_stays_in_lowest_terms():
     assert mesh.L == 4 and mesh.A.dtype == np.int64
     for flags in ([0, 5], [2], []):
         mesh = refine(mesh, flags)
-        denominators = {f.denominator for e in mesh.elements for f in e.a_pi + e.h_pi}
+        denominators = {f.denominator for k in range(mesh.K) for f in sum(_tags(mesh, k), ())}
         assert mesh.L == math.lcm(*denominators)
         assert np.array_equal(mesh.a, mesh.A * math.pi / mesh.L)
     assert mesh.L == 16
     # past int64 the integers are Python ints, and refinement stays exact
     b = Fraction(1, 3 ** 40)
-    wide = Mesh(1, 1, [element_from_pi([(b - 1) / 2], [(b + 1) / 2]),
-                       element_from_pi([(b + 1) / 2], [(1 - b) / 2])])
+    wide = Mesh.from_pi(1, 1, [[(b - 1) / 2], [(b + 1) / 2]], [[(b + 1) / 2], [(1 - b) / 2]])
     fine = refine(wide, [0, 1])
     assert wide.A.dtype == object and fine.A.dtype == object
-    assert fine.elements[1].a_pi == ((3 * b - 1) / 4,)
+    assert _tags(fine, 1)[0] == ((3 * b - 1) / 4,)
 
 
 def _bisect_oracle(mesh, flags):
-    """Children element by element: Fraction tags, or halved floats."""
+    """Children element by element, as (a, h, a_pi, h_pi) rows: Fraction
+    tags and their floats, or halved floats with tags None."""
     signs = [np.array(s) for s in np.ndindex(*(2,) * mesh.d)]
     out = []
-    for k, e in enumerate(mesh.elements):
+    for k in range(mesh.K):
+        a, h = mesh.a[k], mesh.h[k]
+        a_pi, h_pi = _tags(mesh, k)
         if k not in flags:
-            out.append(e)
+            out.append((a, h, a_pi, h_pi))
             continue
         for s in signs:
             sgn = 2 * s[::-1] - 1  # axis 1 fastest
-            if e.rational:
-                half = [h / 2 for h in e.h_pi]
-                out.append(element_from_pi([c + int(g) * hh for c, g, hh in
-                                            zip(e.a_pi, sgn, half)], half))
+            if mesh.rational:
+                half = tuple(hh / 2 for hh in h_pi)
+                c = tuple(cc + int(g) * hh for cc, g, hh in zip(a_pi, sgn, half))
+                out.append((np.array([float(v) * math.pi for v in c]),
+                            np.array([float(v) * math.pi for v in half]), c, half))
             else:
-                out.append(Element(e.a + sgn * 0.5 * e.hdiag, 0.5 * e.hdiag))
+                out.append((a + sgn * 0.5 * h, 0.5 * h, None, None))
     return out
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_refine_matches_per_element_bisection(d):
     exact = refine(uniform_mesh(d, 2, 1), [0])
-    floats = Mesh(d, 1, [Element(e.a, e.hdiag) for e in exact.elements])
+    floats = Mesh(d, 1, exact.a, exact.h)
     for mesh in (exact, floats):
         flags = [0, mesh.K - 1]
         got, expect = refine(mesh, flags), _bisect_oracle(mesh, flags)
-        assert len(got.elements) == len(expect)
-        for g, e in zip(got.elements, expect):
-            assert np.array_equal(g.a, e.a) and np.array_equal(g.hdiag, e.hdiag)
-            assert (g.a_pi, g.h_pi) == (e.a_pi, e.h_pi)
+        assert got.K == len(expect)
+        for k, (a, h, a_pi, h_pi) in enumerate(expect):
+            assert np.array_equal(got.a[k], a) and np.array_equal(got.h[k], h)
+            assert _tags(got, k) == (a_pi, h_pi)
 
 
 def test_batched_indicator_matches_per_element_modal_tensors():

@@ -11,10 +11,8 @@ import pytest
 from semfourier.gll import gll_rule, interp_matrix, legendre_coeffs
 from semfourier.bessel import bessel_column
 from semfourier.mesh import (
-    Element,
     Mesh,
     NodalField,
-    element_from_pi,
     refine,
     sample_field,
     uniform_mesh,
@@ -50,14 +48,15 @@ def quadrature_spectrum(field, waves, degree=None):
     mesh = field.mesh
     table = legendre_coeffs(gll_rule(mesh.P))
     r_max = max(
-        abs(q[t]) * abs(e.hdiag[t])
-        for q in waves.qs for e in mesh.elements for t in range(mesh.d)
+        abs(q[t]) * abs(mesh.h[k, t])
+        for q in waves.qs for k in range(mesh.K) for t in range(mesh.d)
     )
     n = degree or max(4 * mesh.P, math.ceil(r_max) + 24)
     rule_q = gll_rule(n)
     out = np.zeros((len(waves), field.components), dtype=complex)
     scale = 1.0 / (2.0 * math.pi) ** mesh.d
-    for k, e in enumerate(mesh.elements):
+    for k in range(mesh.K):
+        a, h = mesh.a[k], mesh.h[k]
         phis = interp_matrix(table, rule_q.nodes)        # (n+1, P+1)
         U = field.values[k].reshape((mesh.P + 1,) * mesh.d + (field.components,))
         # interpolant on the tensor quadrature grid, axes (m_d .. m_1, c)
@@ -67,13 +66,13 @@ def quadrature_spectrum(field, waves, degree=None):
         vals = np.moveaxis(vals, 0, -1)                   # (m_d .. m_1, c)
         for qi, q in enumerate(waves.qs):
             w1d = [
-                rule_q.weights * np.exp(-1j * q[t] * (e.a[t] + e.hdiag[t] * rule_q.nodes))
+                rule_q.weights * np.exp(-1j * q[t] * (a[t] + h[t] * rule_q.nodes))
                 for t in range(mesh.d)
             ]
             w = w1d[mesh.d - 1]
             for t in range(mesh.d - 2, -1, -1):
                 w = np.multiply.outer(w, w1d[t])
-            out[qi] += scale * e.det_h * np.tensordot(
+            out[qi] += scale * float(np.prod(np.abs(h))) * np.tensordot(
                 w, vals.reshape(w.shape + (field.components,)), axes=mesh.d
             )
     return Spectrum(waves, out)
@@ -106,7 +105,7 @@ def test_plan_and_phi_hat_agree_bitwise():
         j1, j2 = rng.integers(4, size=2)
         j_flat = int(j2 * 4 + j1)
         a = plan.basis_coefficient(qi, int(k), j_flat)
-        b = phi_hat(rule, table, mesh.elements[k], (int(j1), int(j2)), waves.qs[qi])
+        b = phi_hat(mesh, int(k), (int(j1), int(j2)), waves.qs[qi])
         assert a == b  # identical arithmetic, not merely close
 
 
@@ -180,9 +179,9 @@ def test_parseval_for_smooth_field():
     rule_hi = gll_rule(2 * mesh.P)
     table = legendre_coeffs(rule)
     norm = 0.0
-    for k, e in enumerate(mesh.elements):
+    for k in range(mesh.K):
         vals = interp_matrix(table, rule_hi.nodes) @ field.values[k][:, 0]
-        norm += e.det_h * float(np.sum(rule_hi.weights * vals**2))
+        norm += float(np.prod(np.abs(mesh.h[k]))) * float(np.sum(rule_hi.weights * vals**2))
     quad_side = norm / (2.0 * math.pi)
     assert coeff_side == pytest.approx(quad_side, rel=1e-2)
 
@@ -197,15 +196,13 @@ def test_conjugate_symmetry_for_real_fields():
 
 def test_wave_and_element_rescaling_identity():
     # halving the element while doubling the wavevector keeps the Bessel
-    # argument, so the coefficient scales exactly with the volume
-    rule = gll_rule(4)
-    table = legendre_coeffs(rule)
-    e_big = element_from_pi([0], [Fraction(1, 2)])
-    e_small = element_from_pi([0], [Fraction(1, 4)])
+    # argument, so the coefficient scales exactly with the volume; the
+    # middle elements of both meshes are centred at 0
+    F = Fraction
+    big = Mesh.from_pi(1, 4, [[F(-3, 4)], [0], [F(3, 4)]], [[F(1, 4)], [F(1, 2)], [F(1, 4)]])
+    small = Mesh.from_pi(1, 4, [[F(-5, 8)], [0], [F(5, 8)]], [[F(3, 8)], [F(1, 4)], [F(3, 8)]])
     for j in range(5):
-        big = phi_hat(rule, table, e_big, j, 2)
-        small = phi_hat(rule, table, e_small, j, 4)
-        assert big == 2.0 * small
+        assert phi_hat(big, 1, j, 2) == 2.0 * phi_hat(small, 1, j, 4)
 
 
 def test_matches_quadrature_oracle_1d_nonuniform():
@@ -338,23 +335,25 @@ def _axis_table_oracle(mesh, t, q_axis, table):
     arguments on tagged elements, float products otherwise."""
     ip = ipow_neg(table.degree)
     out = np.empty((mesh.K, len(q_axis), table.degree + 1), dtype=complex)
-    for k, e in enumerate(mesh.elements):
+    for k in range(mesh.K):
         for m, q in enumerate(q_axis):
-            r = float(q * e.h_pi[t]) * math.pi if e.rational else float(q) * float(e.hdiag[t])
+            if mesh.rational:
+                r = float(q * Fraction(int(mesh.H[k, t]), mesh.L)) * math.pi
+            else:
+                r = float(q) * float(mesh.h[k, t])
             s = np.einsum("jp,p->j", table.coeffs, ip * bessel_column(r, table.degree))
-            out[k, m] = cmath.exp(-1j * (q * e.a[t])) * s
+            out[k, m] = cmath.exp(-1j * (q * mesh.a[k, t])) * s
     return out
 
 
 def _float_copy(mesh):
-    return Mesh(mesh.d, mesh.P, [Element(e.a, e.hdiag) for e in mesh.elements])
+    return Mesh(mesh.d, mesh.P, mesh.a, mesh.h)
 
 
 def _int64_overflow_mesh():
     # L = 2^60 fits int64, but q H reaches 2^63 for |q| >= 16
     b = Fraction(1, 2 ** 59)
-    return Mesh(1, 3, [element_from_pi([(b - 1) / 2], [(b + 1) / 2]),
-                       element_from_pi([(b + 1) / 2], [(1 - b) / 2])])
+    return Mesh.from_pi(1, 3, [[(b - 1) / 2], [(b + 1) / 2]], [[(b + 1) / 2], [(1 - b) / 2]])
 
 
 @pytest.mark.parametrize("mesh,qmax", [
@@ -371,5 +370,5 @@ def test_plan_tables_match_per_element_loop_bitwise(mesh, qmax):
         got = np.stack([_table_row(plan.factors[t], plan.waves.axis_folds[t], m, slice(None))
                         for m in range(len(q_axis))], axis=1)
         assert np.array_equal(got, expect)
-    volume = np.array([e.det_h for e in mesh.elements]) / math.pi ** mesh.d
+    volume = np.array([float(np.prod(np.abs(mesh.h[k]))) for k in range(mesh.K)]) / math.pi ** mesh.d
     assert np.array_equal(plan.weight, volume)

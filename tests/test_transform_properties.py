@@ -7,6 +7,7 @@ plan or the mesh stores its geometry.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import HealthCheck, assume, given, settings
@@ -128,15 +129,15 @@ def test_compensated_sum_and_phi_hat_agree_with_plan(case):
         qi, k = int(rng.integers(len(waves))), int(rng.integers(mesh.K))
         j = [int(v) for v in rng.integers(n, size=mesh.d)]
         j_flat = sum(jt * n ** t for t, jt in enumerate(j))
-        assert plan.basis_coefficient(qi, k, j_flat) == phi_hat(
-            plan.rule, plan.table, mesh.elements[k], j, waves.qs[qi])
+        assert plan.basis_coefficient(qi, k, j_flat) == phi_hat(mesh, k, j, waves.qs[qi])
 
 
 @_SETTINGS
 @given(_cases())
 def test_mesh_rebuilt_from_its_elements_is_equal(case):
     mesh, waves, _ = case
-    again = Mesh(mesh.d, mesh.P, mesh.elements)
+    a_pi, h_pi = ([[Fraction(int(v), mesh.L) for v in row] for row in X] for X in (mesh.A, mesh.H))
+    again = Mesh.from_pi(mesh.d, mesh.P, a_pi, h_pi)
     assert again == mesh and again.K == mesh.K
     plan, plan_again = _plan(mesh, waves), _plan(again, waves)
     for F, G in zip(plan.factors, plan_again.factors):
