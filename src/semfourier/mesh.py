@@ -2,11 +2,11 @@
 
 An element is the box {a + h xi : xi in [-1, 1]^d} with center a and
 per-axis half-legs h (the diagonal of the mapping matrix). A mesh holds
-the geometry of its K elements once, as (K, d) arrays: float centers and
-half-legs for evaluation and, when every element is a rational multiple
-of pi, exact integers over one common denominator. The integers make
-partition checks and refinement exact and let the transform recognize
-repeated Bessel arguments. Every layer reads these arrays.
+its K elements as (K, d) arrays of float centers and half-legs. An exact
+mesh, every element a rational multiple of pi, is built from integers
+over one common denominator alone and derives its floats from them. The
+integers make partition checks and refinement exact and let the transform
+recognize repeated Bessel arguments. Every layer reads these arrays.
 
 Node/value ordering is fixed everywhere: elements by index k, nodes within
 an element lexicographically with axis 1 fastest, vector components
@@ -54,32 +54,17 @@ _FIELD_MAGIC = b"SEMF"
 _HEADER = struct.Struct("<4s4i")  # magic, d, P, K, C; padded to 32 bytes
 
 
-def _check_geometry(a: np.ndarray, h: np.ndarray) -> None:
-    """Reject non-finite centers or half-legs and singular maps."""
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(h))):
-        raise ValueError("element geometry is not finite")
-    if np.any(h == 0.0):
-        raise ValueError("element mapping is singular")
+def _integer(v) -> int:
+    if type(v) is not int and not isinstance(v, np.integer):
+        raise ValueError(f"mesh numerator is not an integer: {v!r}")
+    return int(v)
 
 
-def _exact_geometry(pairs, d: int):
-    """(a, h, A, H, L) from the (numerator, denominator) pairs of x / pi
-    listed per element, d for the center and then d for the half-legs.
-    The floats are float(Fraction(n, m)) * pi; A and H are int64 when every
-    bound and every difference of two bounds fits, Python ints otherwise.
-    """
-    L = math.lcm(*{m for _, m in pairs})
-    values = [n * (L // m) for n, m in pairs]
-    g = math.gcd(L, *values)  # divide out, so L is the least common denominator
-    if g > 1:
-        values, L = [v // g for v in values], L // g
-    wide = 4 * max(L, *map(abs, values)) >= 2 ** 63
-    v = np.array(values, dtype=object if wide else np.int64).reshape(-1, 2, d)
-    try:
-        x = (np.array([n / m for n, m in pairs]) * pi).reshape(-1, 2, d)
-    except OverflowError:
-        raise ValueError("element geometry is not finite") from None
-    return x[:, 0], x[:, 1], v[:, 0], v[:, 1], L
+def _common_denominator(n: np.ndarray, m: np.ndarray):
+    """(A, H, L): the fractions n / m, (2, K, d) integer object arrays of
+    centers and half-legs over pi, as numerators over one denominator L."""
+    L = math.lcm(*m.flat)
+    return (*(n * (L // m)), L)
 
 
 class Mesh:
@@ -91,29 +76,46 @@ class Mesh:
             float arrays of shape (K, d).
         A, H, L: the exact geometry a = A pi / L, h = H pi / L: integer
             arrays (K, d) over the least common denominator L (int64, or
-            Python ints once 4 max(L, |A|, |H|) reaches 2^63, as
-            ``_exact_geometry`` gives them), or None on a float-only mesh.
+            Python ints once 4 max(L, |A|, |H|) reaches 2^63), or None on
+            a float-only mesh.
 
-    ``Mesh(d, P, a, h)`` builds a float-only mesh from float copies of
-    the arrays, and an exact one given A, H and L as well;
-    ``Mesh.from_pi`` builds an exact one from rationals. Construction checks
-    containment, pairwise-disjoint interiors (``_first_overlap``) and
-    volume closure: exactly on integer geometry, with 1e-12 relative
-    tolerance otherwise.
+    ``Mesh(d, P, a, h)`` builds a float-only mesh from float copies of the
+    arrays. ``Mesh(d, P, A, H, L)`` builds an exact one from integer
+    numerators over a positive denominator L, reduced to lowest terms; its
+    floats are derived, a = float(Fraction(A, L)) pi and h alike, and never
+    passed in. ``Mesh.from_pi`` builds an exact one from rationals.
+    Construction checks containment, pairwise-disjoint interiors
+    (``_first_overlap``) and volume closure: exactly on integer geometry,
+    with 1e-12 relative tolerance otherwise.
     """
 
-    def __init__(self, d: int, P: int, a, h, A=None, H=None, L=None):
+    def __init__(self, d: int, P: int, a, h, L=None):
         if not 1 <= d <= MAX_DIM:
             raise ValueError(f"dimension out of range [1, {MAX_DIM}]: {d}")
         if not 1 <= P <= MAX_FIELD_DEGREE:
             raise ValueError(f"degree out of range [1, {MAX_FIELD_DEGREE}]: {P}")
-        a, h = np.array(a, dtype=float), np.array(h, dtype=float)
+        if L is not None and (type(L) is bool or not isinstance(L, (int, np.integer)) or L < 1):
+            raise ValueError(f"mesh denominator is not a positive integer: {L!r}")
+        a, h = (np.array(v, dtype=float if L is None else object) for v in (a, h))
         if a.ndim != 2 or a.shape != h.shape or a.shape[1] != d or not a.size:
             raise ValueError(f"mesh needs centers and half-legs of shape (K, {d}), K >= 1")
-        _check_geometry(a, h)
-        for v in (a, h, A, H):
-            if v is not None:
-                v.setflags(write=False)
+        A = H = None
+        if L is not None:  # a and h hold numerators; lowest terms, then floats
+            A, H = (np.frompyfunc(_integer, 1, 1)(X) for X in (a, h))
+            g = math.gcd(int(L), *A.flat, *H.flat)
+            A, H, L = A // g, H // g, int(L) // g
+            try:  # Python's int / int is correctly rounded, int64 / int64 past 2^53 is not
+                a, h = ((X / L).astype(float) * pi for X in (A, H))
+            except OverflowError:
+                raise ValueError("element geometry is not finite") from None
+            if 4 * max(L, np.abs(A).max(), np.abs(H).max()) < 2 ** 63:
+                A, H = A.astype(np.int64), H.astype(np.int64)
+        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(h))):
+            raise ValueError("element geometry is not finite")
+        if np.any(h == 0.0):
+            raise ValueError("element mapping is singular")
+        for v in (a, h) if L is None else (a, h, A, H):
+            v.setflags(write=False)
         self.d, self.P, self.a, self.h, self.A, self.H, self.L = d, P, a, h, A, H, L
         self.validate()
 
@@ -124,8 +126,8 @@ class Mesh:
         x = np.array([a_pi, h_pi], dtype=object)
         if x.ndim != 3 or x.shape[2] != d or not x.size:
             raise ValueError(f"mesh needs centers and half-legs of shape (K, {d}), K >= 1")
-        fs = map(Fraction, x.transpose(1, 0, 2).ravel())
-        return cls(d, P, *_exact_geometry([(f.numerator, f.denominator) for f in fs], d))
+        ratio = np.frompyfunc(lambda v: Fraction(v).as_integer_ratio(), 1, 2)
+        return cls(d, P, *_common_denominator(*ratio(x)))
 
     @property
     def K(self) -> int:
@@ -233,8 +235,7 @@ def uniform_mesh(d: int, n_per_axis: int, P: int) -> Mesh:
     if n_per_axis < 1:
         raise ValueError("need at least one element per axis")
     centers = tensor_grid(np.arange(1 - n_per_axis, n_per_axis, 2), d)
-    values = np.stack([centers, np.ones_like(centers)], axis=1).ravel().tolist()
-    return Mesh(d, P, *_exact_geometry([(v, n_per_axis) for v in values], d))
+    return Mesh(d, P, centers, np.ones_like(centers), n_per_axis)
 
 
 def tensor_grid(x, d: int) -> np.ndarray:
@@ -259,17 +260,16 @@ def gll_node_positions(mesh: Mesh, rule: GllRule) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class NodalField:
-    """Nodal values on a mesh, shape (K, (P+1)^d, C), every one finite."""
+    """Nodal values on a mesh, shape (K, (P+1)^d, C) with C >= 1, every
+    one finite."""
 
     mesh: Mesh
     values: np.ndarray
 
     def __post_init__(self):
         expect = (self.mesh.K, self.mesh.nodes_per_element)
-        if self.values.ndim != 3 or self.values.shape[:2] != expect:
-            raise ValueError(
-                f"values shape {self.values.shape} does not match mesh {expect}"
-            )
+        if self.values.ndim != 3 or self.values.shape[:2] != expect or not self.values.shape[2]:
+            raise ValueError(f"values shape {self.values.shape} is not {expect} + (C,), C >= 1")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("field has non-finite nodal values")
         self.values.setflags(write=False)
@@ -298,7 +298,7 @@ def sample_field(mesh: Mesh, rule: GllRule, f) -> NodalField:
         vals = vals[:, None]
     if vals.shape[0] != flat.shape[0]:
         raise ValueError("sampler returned wrong number of values")
-    return NodalField(mesh, vals.reshape(mesh.K, -1, vals.shape[1]).copy())
+    return NodalField(mesh, vals.reshape(mesh.K, mesh.nodes_per_element, vals.shape[1]).copy())
 
 
 def _locate(mesh: Mesh, X: np.ndarray) -> np.ndarray:
@@ -425,10 +425,7 @@ def refine(mesh: Mesh, flags) -> Mesh:
     c, w = (mesh.a, mesh.h) if mesh.A is None else (mesh.A, mesh.H)
     c, w = 2 * c[parent], w[parent]
     c, w = np.where(split, c + sign * w, c), np.where(split, w, 2 * w)
-    if mesh.A is None:
-        return Mesh(d, mesh.P, c / 2, w / 2)
-    values = np.stack([c, w], axis=1).ravel().tolist()
-    return Mesh(d, mesh.P, *_exact_geometry([(v, 2 * mesh.L) for v in values], d))
+    return Mesh(d, mesh.P, c / 2, w / 2) if mesh.A is None else Mesh(d, mesh.P, c, w, 2 * mesh.L)
 
 
 def refine_by_indicator(mesh: Mesh, field: NodalField, tol: float):
@@ -509,8 +506,8 @@ def mesh_from_dict(data: dict) -> Mesh:
         raise ValueError("only axis-aligned (diagonal) maps supported")
     if not tagged:
         return Mesh(d, P, a, h[diagonal])
-    pairs = np.concatenate([a, h[diagonal]], axis=1).reshape(-1, 2).tolist()
-    return Mesh(d, P, *_exact_geometry(pairs, d))
+    x = np.stack([a, h[diagonal]])
+    return Mesh(d, P, *_common_denominator(x[..., 0], x[..., 1]))
 
 
 def save_mesh(mesh: Mesh, path) -> None:

@@ -516,6 +516,9 @@ def read_spectrum_csv(path) -> Spectrum:
         raise ValueError(f"{path}: no spectrum rows")
     header = rows[0][1].split(",")
     d = sum(1 for name in header if name.startswith("q") and name[1:].isdigit())
+    for name in ("component", "re", "im"):
+        if name not in header:
+            raise ValueError(f"{path}: header lacks the '{name}' column")
     ic, ire, iim = header.index("component"), header.index("re"), header.index("im")
     data: dict[tuple, dict[int, complex]] = {}
     for lineno, line in rows[1:]:

@@ -252,6 +252,24 @@ def _truncated_spectrum(tmp_path):
             "--out", tmp_path / "profile.csv"]
 
 
+def _spectrum_header(column):
+    def write(tmp_path):
+        lines = (tmp_path / "spec.csv").read_text().splitlines()
+        lines[0] = lines[0].replace(column, "x")
+        (tmp_path / "spec.csv").write_text("\n".join(lines) + "\n")
+        return ["decay", "--spectrum", tmp_path / "spec.csv", "--direction", "1",
+                "--out", tmp_path / "profile.csv"]
+    return write
+
+
+def _empty_field_bin(tmp_path):
+    # header 'SEMF', d=1, P=3, K=4, C=0, 12 reserved bytes, and no values
+    header = b"SEMF" + np.array([1, 3, 4, 0], "<i4").tobytes() + bytes(12)
+    (tmp_path / "field.bin").write_bytes(header)
+    return ["mesh", "refine", "--in", tmp_path / "mesh.json", "--tol", 0.1,
+            "--field", tmp_path / "field.bin", "--out", tmp_path / "x.bin"]
+
+
 def _qlist(text):
     def write(tmp_path):
         (tmp_path / "qs.txt").write_text(text)
@@ -294,10 +312,16 @@ def _decay_component(c):
     (_qlist("# only comments\n\n   \n"), "qs.txt: no wavevectors"),
     (_converge("--Kmax", "0"), "--Kmax and --Pmax must be at least 1: 0, 10"),
     (_converge("--Pmax", "-1"), "--Kmax and --Pmax must be at least 1: 64, -1"),
+    (_field_json(lambda data: dict(data, components=0, values=[])),
+     "values shape (4, 4, 0) is not (4, 4) + (C,), C >= 1"),
+    (_empty_field_bin, "values shape (4, 4, 0) is not (4, 4) + (C,), C >= 1"),
+    (_spectrum_header("component"), "spec.csv: header lacks the 'component' column"),
+    (_spectrum_header("im"), "spec.csv: header lacks the 'im' column"),
 ], ids=["component-5", "component-minus-1", "short-csv-row", "json-list", "json-no-P",
         "json-bool-K", "json-float-components", "legendre_x", "sample-no-source",
         "qlist-past-int64", "qlist-empty", "qlist-comments-only", "converge-Kmax-0",
-        "converge-Pmax-negative"])
+        "converge-Pmax-negative", "json-zero-components", "bin-zero-components",
+        "csv-no-component-column", "csv-no-im-column"])
 def test_bad_inputs_exit_1_with_one_error_line(tmp_path, argv, message):
     mesh = uniform_mesh(1, 4, 3)
     save_mesh(mesh, tmp_path / "mesh.json")

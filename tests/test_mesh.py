@@ -107,6 +107,43 @@ def test_float_mesh_validation_paths():
         Mesh(1, 2, [[-math.pi / 2], [0.0]], [[math.pi / 2], [0.0]])
 
 
+# the 1D mesh of two halves over L = 2: centers -+1/2 pi, half-legs pi/2
+_HALVES = ([[-1], [1]], [[1], [1]])
+
+
+def test_integer_mesh_is_built_from_numerators_alone():
+    mesh = Mesh(1, 2, *_HALVES, 2)
+    assert mesh == uniform_mesh(1, 2, 2) and mesh.L == 2 and mesh.A.dtype == np.int64
+    # integers not in lowest terms are reduced, and the floats follow them
+    again = Mesh(1, 2, [[-3], [3]], [[3], [3]], np.int64(6))
+    assert again == mesh and again.L == 2 and type(again.L) is int
+    assert np.array_equal(again.A, mesh.A) and np.array_equal(again.H, mesh.H)
+
+
+@pytest.mark.parametrize("L", [0, -2, 2.0, True, "2", np.float64(2)],
+                         ids=["zero", "negative", "float", "bool", "string", "numpy-float"])
+def test_integer_mesh_rejects_a_denominator_that_is_not_a_positive_integer(L):
+    with pytest.raises(ValueError, match="denominator is not a positive integer"):
+        Mesh(1, 2, *_HALVES, L)
+
+
+@pytest.mark.parametrize("A", [[[-1.0], [1]], [[-1], [True]], [[-1], ["1"]],
+                               np.array([[-1.0], [1.0]]), np.array([[False], [True]])],
+                         ids=["float", "bool", "string", "float-array", "bool-array"])
+def test_integer_mesh_rejects_a_numerator_that_is_not_an_integer(A):
+    with pytest.raises(ValueError, match="mesh numerator is not an integer"):
+        Mesh(1, 2, A, _HALVES[1], 2)
+
+
+@pytest.mark.parametrize("A,H", [([-1, 1], [1, 1]), ([[-1], [1]], [[1]]),
+                                 ([[-1, 0], [1, 0]], [[1, 1], [1, 1]]), ([[-1], [1, 0]], [[1], [1]]),
+                                 ([], [])],
+                         ids=["1d", "unequal-K", "wrong-d", "ragged", "empty"])
+def test_integer_mesh_rejects_arrays_not_of_shape_K_by_d(A, H):
+    with pytest.raises(ValueError, match=r"shape \(K, 1\)"):
+        Mesh(1, 2, A, H, 2)
+
+
 def _pairwise_oracle(a, h, d):
     """Partition checks over every pair of boxes, one at a time.
 

@@ -10,6 +10,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.legendre import legvander
@@ -143,6 +144,48 @@ def test_mesh_rebuilt_from_its_elements_is_equal(case):
     for F, G in zip(plan.factors, plan_again.factors):
         assert np.array_equal(F, G)
     assert np.array_equal(plan.weight, plan_again.weight)
+
+
+def _assert_bitwise_equal(got, mesh):
+    """Same floats bit for bit, same integers, dtypes and element types."""
+    assert got == mesh and (got.L, type(got.L)) == (mesh.L, type(mesh.L))
+    for x, y in ((got.a, mesh.a), (got.h, mesh.h)):
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+    for x, y in ((got.A, mesh.A), (got.H, mesh.H)):
+        assert x.dtype == y.dtype and x.tolist() == y.tolist()
+        assert {type(v) for v in x.flat} == {type(v) for v in y.flat}
+
+
+def _assert_rebuilds_exactly(mesh):
+    # its floats are float(Fraction(A, L)) pi, and it comes back from its
+    # integers and from its rationals put back over one denominator
+    a_pi, h_pi = ([[Fraction(int(v), mesh.L) for v in row] for row in X] for X in (mesh.A, mesh.H))
+    for X, x in ((a_pi, mesh.a), (h_pi, mesh.h)):
+        assert np.array([[float(f) * math.pi for f in row] for row in X]).tobytes() == x.tobytes()
+    _assert_bitwise_equal(Mesh(mesh.d, mesh.P, mesh.A, mesh.H, mesh.L), mesh)
+    _assert_bitwise_equal(Mesh.from_pi(mesh.d, mesh.P, a_pi, h_pi), mesh)
+
+
+@_SETTINGS
+@given(_cases())
+def test_exact_mesh_rebuilt_from_integers_or_rationals_is_bitwise_equal(case):
+    _assert_rebuilds_exactly(case[0])
+
+
+@pytest.mark.parametrize("power", [33, 40])
+def test_exact_mesh_past_2_53_rebuilds_bitwise_equal(power):
+    # two elements split at pi / (2 3^power): over 4 3^33 >= 2^53 numpy's
+    # int64 division rounds some float otherwise; 4 3^40 is past int64
+    b = Fraction(1, 2 * 3 ** power)
+    mesh = Mesh.from_pi(1, 2, [[(b - 1) / 2], [(b + 1) / 2]], [[(b + 1) / 2], [(1 - b) / 2]])
+    assert mesh.L == 4 * 3 ** power and mesh.L >= 2 ** 53
+    if power == 33:
+        assert mesh.A.dtype == np.int64
+        assert not np.array_equal(mesh.A / mesh.L * math.pi, mesh.a)
+    else:
+        assert mesh.A.dtype == object and mesh.L >= 2 ** 63
+    for m in (mesh, refine(mesh, [0, 1])):
+        _assert_rebuilds_exactly(m)
 
 
 @_SETTINGS
