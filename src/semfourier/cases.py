@@ -77,7 +77,7 @@ def case_legendre(p: int) -> AnalyticCase:
         (q1,) = tuple(q)
         return np.array([ip * bessel_column(math.pi * q1, p)[p]], dtype=complex)
 
-    return AnalyticCase("legendre", 1, 1, func, coeff, {"p": p})
+    return AnalyticCase(f"legendre_{p}", 1, 1, func, coeff, {"p": p})
 
 
 def case_sin() -> AnalyticCase:
@@ -147,7 +147,7 @@ def case_rotated_series(b=(-0.4, -0.4), l=(1, 2), n_trunc: int = 96) -> Analytic
         return np.array([complex(math.exp(b1 * m1 + b2 * m2))])
 
     return AnalyticCase(
-        "rotated_series", 2, 1, func, coeff,
+        "rotser", 2, 1, func, coeff,
         {"b": (b1, b2), "l": (l1, l2), "n_trunc": n_trunc},
     )
 
@@ -170,7 +170,7 @@ def case_burgers_t0(l=(1, 2)) -> AnalyticCase:
             return -0.5j * l_arr.astype(complex)
         return np.zeros(2, dtype=complex)
 
-    return AnalyticCase("burgers_t0", 2, 2, func, coeff, {"l": tuple(l_arr)})
+    return AnalyticCase("burgers0", 2, 2, func, coeff, {"l": tuple(l_arr)})
 
 
 # Midpoints of ``burgers_profile`` per 2 pi of its window, at the least.

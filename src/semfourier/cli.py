@@ -253,6 +253,8 @@ def _cmd_mesh_refine(args) -> None:
 
 
 def _cmd_field_sample(args) -> None:
+    if args.case and args.expr:
+        raise ValueError("give --case or --expr, not both")
     mesh = load_mesh(args.mesh)
     rule = gll_rule(mesh.P)
     if args.case:

@@ -128,6 +128,9 @@ def spectrum_decay_profile(spectrum: Spectrum, direction,
         v_dir = tuple(int(c) for c in direction)
         if all(c == 0 for c in v_dir):
             raise ValueError("direction must be nonzero")
+        if len(v_dir) != spectrum.waves.d:
+            raise ValueError(f"direction {v_dir} has dimension {len(v_dir)}, "
+                             f"the spectrum {spectrum.waves.d}")
         norm = math.sqrt(sum(c * c for c in v_dir))
         m = 1
         while (q := tuple(m * c for c in v_dir)) in spectrum.waves:

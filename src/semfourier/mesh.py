@@ -8,6 +8,11 @@ over one common denominator alone and derives its floats from them. The
 integers make partition checks and refinement exact and let the transform
 recognize repeated Bessel arguments. Every layer reads these arrays.
 
+A mesh file is one line of JSON holding the constructor's arguments:
+``{"d": d, "P": P, "L": L, "elements": [[A_1..A_d, H_1..H_d], ...]}`` for
+an exact mesh, and the same without "L", with float rows [a..., h...],
+for a float one.
+
 Node/value ordering is fixed everywhere: elements by index k, nodes within
 an element lexicographically with axis 1 fastest, vector components
 innermost.
@@ -58,13 +63,6 @@ def _integer(v) -> int:
     if type(v) is not int and not isinstance(v, np.integer):
         raise ValueError(f"mesh numerator is not an integer: {v!r}")
     return int(v)
-
-
-def _common_denominator(n: np.ndarray, m: np.ndarray):
-    """(A, H, L): the fractions n / m, (2, K, d) integer object arrays of
-    centers and half-legs over pi, as numerators over one denominator L."""
-    L = math.lcm(*m.flat)
-    return (*(n * (L // m)), L)
 
 
 class Mesh:
@@ -126,8 +124,9 @@ class Mesh:
         x = np.array([a_pi, h_pi], dtype=object)
         if x.ndim != 3 or x.shape[2] != d or not x.size:
             raise ValueError(f"mesh needs centers and half-legs of shape (K, {d}), K >= 1")
-        ratio = np.frompyfunc(lambda v: Fraction(v).as_integer_ratio(), 1, 2)
-        return cls(d, P, *_common_denominator(*ratio(x)))
+        n, m = np.frompyfunc(lambda v: Fraction(v).as_integer_ratio(), 1, 2)(x)
+        L = math.lcm(*m.flat)  # one common denominator
+        return cls(d, P, *(n * (L // m)), L)
 
     @property
     def K(self) -> int:
@@ -446,68 +445,39 @@ def refine_by_indicator(mesh: Mesh, field: NodalField, tol: float):
 
 # ----------------------------------------------------------------- I/O --
 
-def _reduced_pairs(X: np.ndarray, L: int) -> np.ndarray:
-    """[numerator, denominator] of each X / L in lowest terms: X.shape + (2,)."""
-    g = np.gcd(X, L)
-    return np.stack([X // g, L // g], axis=-1)
-
-
 def mesh_to_dict(mesh: Mesh) -> dict:
-    K, d = mesh.K, mesh.d
-    diagonal = (slice(None), range(d), range(d))
-    h = np.zeros((K, d, d))
-    h[diagonal] = mesh.h
-    columns = {"a": mesh.a.tolist(), "h": h.tolist()}
-    if mesh.A is not None:
-        h_pi = np.zeros((K, d, d, 2), dtype=mesh.H.dtype)
-        h_pi[..., 1] = 1
-        h_pi[diagonal] = _reduced_pairs(mesh.H, mesh.L)
-        columns["a_over_pi"] = _reduced_pairs(mesh.A, mesh.L).tolist()
-        columns["h_over_pi"] = h_pi.tolist()
-    rows = zip(*columns.values())
-    return {"d": d, "P": mesh.P, "elements": [dict(zip(columns, row)) for row in rows]}
-
-
-def _nested(rows, shape, types, what) -> np.ndarray:
-    """rows as an object array of the given shape and entry types."""
-    arr = np.array(rows, dtype=object)
-    if arr.shape != shape or not all(type(v) in types for v in arr.flat):
-        raise ValueError(f"mesh {what} do not form a {' x '.join(map(str, shape))} "
-                         f"array of {types[0].__name__}s")
-    return arr
+    """The constructor's arguments: d, P and one row per element, integers
+    A[k] + H[k] over the denominator "L" on an exact mesh, floats
+    a[k] + h[k] and no "L" on a float one."""
+    if mesh.A is None:
+        return {"d": mesh.d, "P": mesh.P, "elements": np.hstack([mesh.a, mesh.h]).tolist()}
+    rows = np.hstack([mesh.A, mesh.H]).tolist()
+    return {"d": mesh.d, "P": mesh.P, "L": mesh.L, "elements": rows}
 
 
 def mesh_from_dict(data: dict) -> Mesh:
     """Mesh from the dict of ``mesh_to_dict``; ValueError names any fault.
 
-    When every element has exact tags ('a_over_pi' and 'h_over_pi'), they
-    define the geometry; otherwise the floats 'a' and 'h' do.
+    Only what JSON can get wrong is checked here: the keys, the row
+    lengths, and that float rows hold JSON numbers (numpy would read the
+    string "1.5" as a number). ``Mesh`` checks the rest: integer
+    numerators, a positive L, finiteness and the partition.
     """
-    entries = data.get("elements") if isinstance(data, dict) else None
-    if not (isinstance(entries, list) and entries and all(isinstance(e, dict) for e in entries)):
-        raise ValueError("mesh lacks a nonempty 'elements' list of JSON objects")
     for key in ("d", "P"):
-        if type(data.get(key)) is not int:
-            raise ValueError(f"mesh '{key}' is missing or not an integer: {data.get(key)!r}")
-    d, P, K = data["d"], data["P"], len(entries)
-    diagonal = (slice(None), range(d), range(d))
-    tagged = all("a_over_pi" in e and "h_over_pi" in e for e in entries)
-    if tagged:
-        a = _nested([e["a_over_pi"] for e in entries], (K, d, 2), (int,), "'a_over_pi' tags")
-        h = _nested([e["h_over_pi"] for e in entries], (K, d, d, 2), (int,), "'h_over_pi' tags")
-        if np.any(a[..., 1] == 0) or np.any(h[..., 1] == 0):
-            raise ValueError("mesh exact tag has a zero denominator")
-        off_diagonal = h[..., 0][:, ~np.eye(d, dtype=bool)]
-    else:
-        a = _nested([e.get("a") for e in entries], (K, d), (int, float), "centers 'a'")
-        h = _nested([e.get("h") for e in entries], (K, d, d), (int, float), "maps 'h'")
-        off_diagonal = h[:, ~np.eye(d, dtype=bool)]
-    if np.any(off_diagonal != 0):
-        raise ValueError("only axis-aligned (diagonal) maps supported")
-    if not tagged:
-        return Mesh(d, P, a, h[diagonal])
-    x = np.stack([a, h[diagonal]])
-    return Mesh(d, P, *_common_denominator(x[..., 0], x[..., 1]))
+        value = data.get(key) if isinstance(data, dict) else None
+        if type(value) is not int:
+            raise ValueError(f"mesh '{key}' is missing or not an integer: {value!r}")
+    d, P, L, rows = data["d"], data["P"], data.get("L"), data.get("elements")
+    if not (isinstance(rows, list) and rows
+            and all(isinstance(r, list) and len(r) == 2 * d for r in rows)):
+        raise ValueError(f"mesh lacks a nonempty 'elements' list of rows of {2 * d} entries")
+    if L is None and not all(type(v) in (int, float) for r in rows for v in r):
+        raise ValueError("mesh element geometry is not all JSON numbers")
+    try:  # numerators stay Python ints for Mesh to check
+        x = np.array(rows, dtype=float if L is None else object)
+    except OverflowError:
+        raise ValueError("element geometry is not finite") from None
+    return Mesh(d, P, x[:, :d], x[:, d:], L)
 
 
 def save_mesh(mesh: Mesh, path) -> None:

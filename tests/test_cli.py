@@ -317,11 +317,18 @@ def _decay_component(c):
     (_empty_field_bin, "values shape (4, 4, 0) is not (4, 4) + (C,), C >= 1"),
     (_spectrum_header("component"), "spec.csv: header lacks the 'component' column"),
     (_spectrum_header("im"), "spec.csv: header lacks the 'im' column"),
+    (lambda tmp_path: ["decay", "--spectrum", tmp_path / "spec.csv", "--direction", "1,2",
+                       "--out", tmp_path / "profile.csv"],
+     "direction (1, 2) has dimension 2, the spectrum 1"),
+    (lambda tmp_path: ["field", "sample", "--mesh", tmp_path / "mesh.json", "--case", "sin",
+                       "--expr", "x", "--out", tmp_path / "x.bin"],
+     "give --case or --expr, not both"),
 ], ids=["component-5", "component-minus-1", "short-csv-row", "json-list", "json-no-P",
         "json-bool-K", "json-float-components", "legendre_x", "sample-no-source",
         "qlist-past-int64", "qlist-empty", "qlist-comments-only", "converge-Kmax-0",
         "converge-Pmax-negative", "json-zero-components", "bin-zero-components",
-        "csv-no-component-column", "csv-no-im-column"])
+        "csv-no-component-column", "csv-no-im-column", "decay-direction-2d",
+        "sample-case-and-expr"])
 def test_bad_inputs_exit_1_with_one_error_line(tmp_path, argv, message):
     mesh = uniform_mesh(1, 4, 3)
     save_mesh(mesh, tmp_path / "mesh.json")
@@ -364,6 +371,13 @@ def test_converge_takes_no_case_options(tmp_path):
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert not out.exists()
+
+
+def test_converge_header_names_the_case_as_given(tmp_path):
+    surface = tmp_path / "surface.csv"
+    run_cli("converge", "--case", "legendre_3", "--Kmax", 1, "--Pmax", 1,
+            "--qmax", 1, "--out", surface)
+    assert surface.read_text().startswith("# case=legendre_3,qmax=1\n")
 
 
 def test_converge_and_decay_round_trip(tmp_path):
@@ -499,28 +513,46 @@ def _drop(key):
     return lambda data: data.pop(key)
 
 
-def _set_first_element(key, value):
-    return lambda data: data["elements"][0].update({key: value})
+def _set_entry(k, t, value):
+    """Set entry t of element row k."""
+    return lambda data: data["elements"][k].__setitem__(t, value)
 
 
-def _float_only(data):
-    for entry in data["elements"]:
-        del entry["a_over_pi"], entry["h_over_pi"]
+def _float_copy(edit=None):
+    """Rewrite the exact file as its float copy, then apply edit."""
+    def rewrite(data):
+        data.pop("L")
+        data["elements"] = [[v * math.pi / 2 for v in row] for row in data["elements"]]
+        if edit is not None:
+            edit(data)
+    return rewrite
+
+
+def _per_element_file(data):
+    # the per-element objects that mesh files held before they became rows
+    data.pop("L")
+    data["elements"] = [{"a": [s * math.pi / 2], "h": [[math.pi / 2]],
+                         "a_over_pi": [[s, 2]], "h_over_pi": [[[1, 2]]]} for s in (-1, 1)]
 
 
 @pytest.mark.parametrize("edit,message", [
-    (_drop("elements"), "lacks a nonempty 'elements' list"),
+    (_drop("elements"), "lacks a nonempty 'elements' list of rows of 2 entries"),
     (_drop("d"), "mesh 'd' is missing or not an integer: None"),
     (_drop("P"), "mesh 'P' is missing or not an integer: None"),
     (lambda data: data.update(P=2.7), "mesh 'P' is missing or not an integer: 2.7"),
-    (_set_first_element("a_over_pi", [[1, 0]]), "zero denominator"),
-    (_set_first_element("a_over_pi", [[0.5, 2]]), "'a_over_pi' tags do not form a 2 x 1 x 2"),
-    (lambda data: (_float_only(data), data["elements"][1].update(a=[math.nan])),
-     "element geometry is not finite"),
-    (_set_first_element("a_over_pi", [[10 ** 400, 1]]), "element geometry is not finite"),
-    (lambda data: (_float_only(data), data["elements"][0].pop("h")), "maps 'h' do not form"),
+    (lambda data: data.update(L=0), "mesh denominator is not a positive integer: 0"),
+    (_set_entry(0, 0, 0.5), "mesh numerator is not an integer: 0.5"),
+    (_float_copy(_set_entry(1, 0, math.nan)), "element geometry is not finite"),
+    (_float_copy(_set_entry(0, 1, math.inf)), "element geometry is not finite"),
+    (_set_entry(0, 0, 10 ** 400), "element geometry is not finite"),
+    (_float_copy(_set_entry(0, 0, 10 ** 400)), "element geometry is not finite"),
+    (lambda data: data["elements"][0].pop(), "lacks a nonempty 'elements' list of rows of 2"),
+    (_float_copy(_set_entry(0, 1, "1.5")), "mesh element geometry is not all JSON numbers"),
+    (_float_copy(_set_entry(0, 1, True)), "mesh element geometry is not all JSON numbers"),
+    (_per_element_file, "lacks a nonempty 'elements' list of rows of 2 entries"),
 ], ids=["no-elements", "no-d", "no-P", "fractional-P", "zero-denominator",
-        "float-tag", "nan", "huge-tag", "no-h"])
+        "float-tag", "nan", "infinity", "huge-tag", "huge-float", "no-h", "string-entry",
+        "bool-entry", "per-element-file"])
 def test_malformed_mesh_file_exits_1(tmp_path, capsys, edit, message):
     data = mesh_to_dict(uniform_mesh(1, 2, 2))
     edit(data)

@@ -1,6 +1,7 @@
 """Convergence sweeps, slope fitting, and decay profiles."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -89,6 +90,15 @@ def test_decay_profile_shell_max():
         spectrum_decay_profile(_synthetic_spectrum(), "shell-sum")
     with pytest.raises(ValueError):
         spectrum_decay_profile(_synthetic_spectrum(), (0, 0))
+
+
+@pytest.mark.parametrize("direction", [(1,), (1, 2, 3)])
+def test_decay_profile_rejects_a_direction_of_another_dimension(direction):
+    # a 2D wave set holds no multiple of a 1D or 3D vector, so the ray
+    # would come back empty with a NaN slope
+    with pytest.raises(ValueError, match=re.escape(
+            f"direction {direction} has dimension {len(direction)}, the spectrum 2")):
+        spectrum_decay_profile(_synthetic_spectrum(), direction)
 
 
 def test_decay_profile_component_selection():

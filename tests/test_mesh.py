@@ -480,16 +480,6 @@ def test_mesh_file_is_one_line_and_indented_files_still_load(tmp_path):
     assert load_mesh(path) == mesh
 
 
-def test_mesh_dict_rejects_offdiagonal_maps():
-    mesh = uniform_mesh(2, 1, 1)
-    data = mesh_to_dict(mesh)
-    data["elements"][0]["h"][0][1] = 0.25
-    del data["elements"][0]["a_over_pi"]
-    del data["elements"][0]["h_over_pi"]
-    with pytest.raises(ValueError, match="diagonal"):
-        mesh_from_dict(data)
-
-
 def test_field_binary_round_trip_is_exact(tmp_path):
     mesh = uniform_mesh(2, 2, 3)
     rng = np.random.default_rng(3)
@@ -618,13 +608,12 @@ def test_non_finite_geometry_is_rejected():
 
 
 def test_mesh_file_with_non_finite_geometry_is_rejected(tmp_path):
-    data = mesh_to_dict(uniform_mesh(1, 2, 2))
-    for entry in data["elements"]:
-        del entry["a_over_pi"], entry["h_over_pi"]
+    mesh = uniform_mesh(1, 2, 2)
+    data = mesh_to_dict(Mesh(1, 2, mesh.a, mesh.h))
     path = tmp_path / "mesh.json"
-    for field, value in (("a", [math.nan]), ("h", [[math.inf]])):
+    for t, value in ((0, math.nan), (1, math.inf)):  # a center, a half-leg
         bad = json.loads(json.dumps(data))
-        bad["elements"][0][field] = value
+        bad["elements"][0][t] = value
         path.write_text(json.dumps(bad))  # writes NaN / Infinity
         with pytest.raises(ValueError, match="not finite"):
             load_mesh(path)
@@ -653,18 +642,6 @@ def test_nodal_field_rejects_non_finite_values():
     values[1, 2, 0] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         NodalField(uniform_mesh(1, 2, 2), values)
-
-
-def test_partially_tagged_mesh_is_float():
-    # a file with one exact and one float element: the mesh, its plan keys
-    # and its file drop the partial tags
-    data = mesh_to_dict(uniform_mesh(1, 2, 2))
-    del data["elements"][1]["a_over_pi"], data["elements"][1]["h_over_pi"]
-    mesh = mesh_from_dict(data)
-    assert not mesh.rational and mesh.A is None and mesh.L is None
-    data = mesh_to_dict(mesh)
-    assert all("a_over_pi" not in e for e in data["elements"])
-    assert mesh_from_dict(data) == mesh
 
 
 def test_exact_geometry_stays_in_lowest_terms():

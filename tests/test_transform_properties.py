@@ -6,6 +6,7 @@ algebraic identities of the exact transform; none depends on how the
 plan or the mesh stores its geometry.
 """
 
+import json
 import math
 from fractions import Fraction
 
@@ -16,7 +17,15 @@ from hypothesis import strategies as st
 from numpy.polynomial.legendre import legvander
 
 from semfourier.gll import gll_rule, legendre_coeffs
-from semfourier.mesh import Mesh, NodalField, refine, sample_field, uniform_mesh
+from semfourier.mesh import (
+    Mesh,
+    NodalField,
+    mesh_from_dict,
+    mesh_json,
+    refine,
+    sample_field,
+    uniform_mesh,
+)
 from semfourier.transform import WaveSet, build_plan, phi_hat, transform
 
 _SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None,
@@ -149,9 +158,10 @@ def test_mesh_rebuilt_from_its_elements_is_equal(case):
 def _assert_bitwise_equal(got, mesh):
     """Same floats bit for bit, same integers, dtypes and element types."""
     assert got == mesh and (got.L, type(got.L)) == (mesh.L, type(mesh.L))
+    assert got.rational == mesh.rational
     for x, y in ((got.a, mesh.a), (got.h, mesh.h)):
         assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
-    for x, y in ((got.A, mesh.A), (got.H, mesh.H)):
+    for x, y in ((got.A, mesh.A), (got.H, mesh.H)) if mesh.rational else ():
         assert x.dtype == y.dtype and x.tolist() == y.tolist()
         assert {type(v) for v in x.flat} == {type(v) for v in y.flat}
 
@@ -186,6 +196,29 @@ def test_exact_mesh_past_2_53_rebuilds_bitwise_equal(power):
         assert mesh.A.dtype == object and mesh.L >= 2 ** 63
     for m in (mesh, refine(mesh, [0, 1])):
         _assert_rebuilds_exactly(m)
+
+
+def _assert_file_round_trips(mesh):
+    # the mesh and its float copy, through the JSON text of a mesh file
+    for m in (mesh, Mesh(mesh.d, mesh.P, mesh.a, mesh.h)):
+        _assert_bitwise_equal(mesh_from_dict(json.loads(mesh_json(m))), m)
+
+
+@_SETTINGS
+@given(_cases())
+def test_mesh_file_round_trip_is_bitwise_exact(case):
+    _assert_file_round_trips(case[0])
+
+
+@pytest.mark.parametrize("L", [3 ** 40, 2 ** 60])
+def test_mesh_file_round_trip_past_int64_is_bitwise_exact(L):
+    # two elements split at pi s / L, s = 1 or 2 so that the numerators
+    # are integers; 4 3^40 is past int64 and 4 2^60 is not
+    s = 2 - L % 2
+    mesh = Mesh(1, 2, [[(s - L) // 2], [(s + L) // 2]], [[(s + L) // 2], [(L - s) // 2]], L)
+    assert mesh.L == L and (mesh.A.dtype == object) == (4 * L >= 2 ** 63)
+    for m in (mesh, refine(mesh, [0, 1])):
+        _assert_file_round_trips(m)
 
 
 @_SETTINGS
