@@ -65,6 +65,11 @@ def _integer(v) -> int:
     return int(v)
 
 
+def _check_dimension(d: int) -> None:
+    if not 1 <= d <= MAX_DIM:
+        raise ValueError(f"dimension out of range [1, {MAX_DIM}]: {d}")
+
+
 class Mesh:
     """A validated partition of [-pi, pi]^d into axis-aligned boxes.
 
@@ -88,8 +93,7 @@ class Mesh:
     """
 
     def __init__(self, d: int, P: int, a, h, L=None):
-        if not 1 <= d <= MAX_DIM:
-            raise ValueError(f"dimension out of range [1, {MAX_DIM}]: {d}")
+        _check_dimension(d)
         if not 1 <= P <= MAX_FIELD_DEGREE:
             raise ValueError(f"degree out of range [1, {MAX_FIELD_DEGREE}]: {P}")
         if L is not None and (type(L) is bool or not isinstance(L, (int, np.integer)) or L < 1):
@@ -231,6 +235,7 @@ def uniform_mesh(d: int, n_per_axis: int, P: int) -> Mesh:
     Per axis, element i of n has center pi (2i + 1 - n)/n and half-leg
     pi/n. Elements are ordered lexicographically with axis 1 fastest.
     """
+    _check_dimension(d)  # before the n^d grid is built
     if n_per_axis < 1:
         raise ValueError("need at least one element per axis")
     centers = tensor_grid(np.arange(1 - n_per_axis, n_per_axis, 2), d)
@@ -428,12 +433,15 @@ def refine(mesh: Mesh, flags) -> Mesh:
 
 
 def refine_by_indicator(mesh: Mesh, field: NodalField, tol: float):
-    """Refine every element whose top-degree content exceeds tol.
+    """Refine every element whose top-degree content exceeds tol; a
+    negative tol refines every element, a NaN one is rejected.
 
     Returns:
         (refined_mesh, flags, indicators); the field is not carried over
         and should be re-sampled on the result.
     """
+    if math.isnan(tol):
+        raise ValueError("refinement tolerance is NaN")
     if field.mesh is not mesh and field.mesh != mesh:
         raise ValueError("field lives on a different mesh")
     indicators = element_indicator(field)

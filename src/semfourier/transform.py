@@ -55,7 +55,8 @@ __all__ = [
 @dataclass(frozen=True)
 class WaveSet:
     """An ordered set of distinct integer wavevectors in Z^d, each
-    component below 2^63 in magnitude."""
+    component below 2^63 in magnitude. Lookups, axis indices and CSV row
+    templates are built on first use and kept; == and hash use d and qs."""
 
     d: int
     qs: tuple[tuple[int, ...], ...]
@@ -117,6 +118,11 @@ class WaveSet:
     def axis_folds(self) -> list[tuple[np.ndarray, ...]]:
         """Per axis, ``_fold`` of the distinct q_t in ``axis_index``."""
         return [_fold(v) for v in self.axis_index[0]]
+
+    @cached_property
+    def _csv(self) -> tuple[np.ndarray, dict]:
+        """Lexicographic row order of the CSV and its templates by (C, tail)."""
+        return np.array(sorted(range(len(self.qs)), key=self.qs.__getitem__), dtype=np.intp), {}
 
 
 def _fold(q: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -474,30 +480,29 @@ def spectrum_csv_text(spectrum: Spectrum, extra_col=None) -> str:
 
     Rows are sorted lexicographically by wavevector then component and
     floats carry 17 significant digits, so equal spectra produce byte-equal
-    text. ``abs`` comes from one array ``np.hypot``, which calls the same C
+    text. The row order and a ``%``-template with the integer columns as
+    text (about 40% of the text's size) are built once per (C, extra
+    column) and kept on the wave set, so a call formats only floats.
+    ``abs`` comes from one array ``np.hypot``, which calls the same C
     ``hypot`` as Python's ``abs(complex)`` and so gives the same bits (inf
     where the magnitude overflows); ``np.abs`` rounds some values
     differently. ``extra_col=(name, value)`` appends a constant column.
     """
-    d = spectrum.waves.d
-    header = [f"q{t + 1}" for t in range(d)] + ["component", "re", "im", "abs"]
+    waves, C = spectrum.waves, spectrum.components
+    header = [f"q{t + 1}" for t in range(waves.d)] + ["component", "re", "im", "abs"]
     if extra_col is not None:
         header.append(extra_col[0])
-    qs = spectrum.waves.qs
-    order = sorted(range(len(qs)), key=qs.__getitem__)
+    tail = "" if extra_col is None else "," + str(extra_col[1]).replace("%", "%%")
+    order, templates = waves._csv
+    if (C, tail) not in templates:
+        rows = ["%d," * waves.d % waves.qs[i] for i in order.tolist()]
+        templates[C, tail] = "".join(f"{q}{c},%.17g,%.17g,%.17g{tail}\n"
+                                     for q in rows for c in range(C))
     values = spectrum.values[order]
     with np.errstate(over="ignore"):
-        mags = np.hypot(values.real, values.imag).tolist()
-    tail = "" if extra_col is None else "," + str(extra_col[1]).replace("%", "%%")
-    line = "%d," * (d + 1) + "%.17g,%.17g,%.17g" + tail + "\n"
-    # one flat argument list and one % over all rows; the per-row tuples die
-    # at once, so no tracked containers pile up for the garbage collector
-    args = []
-    for i, row, mag in zip(order, values.tolist(), mags):
-        q = qs[i]
-        for c, v in enumerate(row):
-            args += (*q, c, v.real, v.imag, mag[c])
-    return ",".join(header) + "\n" + line * (len(args) // (d + 4)) % tuple(args)
+        mags = np.hypot(values.real, values.imag)
+    floats = np.stack([values.real, values.imag, mags], axis=2).ravel().tolist()
+    return ",".join(header) + "\n" + templates[C, tail] % tuple(floats)
 
 
 def write_spectrum_csv(spectrum: Spectrum, path, extra_col=None) -> None:

@@ -323,12 +323,18 @@ def _decay_component(c):
     (lambda tmp_path: ["field", "sample", "--mesh", tmp_path / "mesh.json", "--case", "sin",
                        "--expr", "x", "--out", tmp_path / "x.bin"],
      "give --case or --expr, not both"),
+    (lambda tmp_path: ["mesh", "uniform", "--d", 0, "--K-per-axis", 2, "--P", 2,
+                       "--out", tmp_path / "x.bin"],
+     "dimension out of range [1, 3]: 0"),
+    (lambda tmp_path: ["mesh", "refine", "--in", tmp_path / "mesh.json", "--tol", "nan",
+                       "--field", tmp_path / "field.json", "--out", tmp_path / "x.bin"],
+     "refinement tolerance is NaN"),
 ], ids=["component-5", "component-minus-1", "short-csv-row", "json-list", "json-no-P",
         "json-bool-K", "json-float-components", "legendre_x", "sample-no-source",
         "qlist-past-int64", "qlist-empty", "qlist-comments-only", "converge-Kmax-0",
         "converge-Pmax-negative", "json-zero-components", "bin-zero-components",
         "csv-no-component-column", "csv-no-im-column", "decay-direction-2d",
-        "sample-case-and-expr"])
+        "sample-case-and-expr", "mesh-uniform-d-0", "mesh-refine-tol-nan"])
 def test_bad_inputs_exit_1_with_one_error_line(tmp_path, argv, message):
     mesh = uniform_mesh(1, 4, 3)
     save_mesh(mesh, tmp_path / "mesh.json")

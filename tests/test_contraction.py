@@ -12,6 +12,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import semfourier
 import semfourier.transform as T
@@ -319,6 +321,30 @@ def test_spectrum_csv_matches_per_row_loop(extra_col):
             with np.errstate(over="ignore", invalid="ignore"):
                 expect = _csv_oracle(spec, extra_col)
             assert spectrum_csv_text(spec, extra_col) == expect
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_kept_csv_templates_match_per_row_loop(data):
+    """One wave set formatted in alternation with several (C, extra_col),
+    so kept templates are reused after others; an equal set built apart
+    gives the same text, and caching leaves == and hash alone."""
+    d = data.draw(st.integers(1, 3))
+    qs = tuple(data.draw(st.lists(st.tuples(*[st.integers(-4, 4)] * d), max_size=24,
+                                  unique=True)))
+    formats = data.draw(st.lists(st.tuples(st.integers(1, 3),
+                                           st.sampled_from([None, ("M", 64), ("tag", "5%")])),
+                                 min_size=1, max_size=4))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    waves, twin = WaveSet(d, qs), WaveSet(d, qs)
+    for C, extra_col in formats * 2:
+        values = _wild_values(rng, (len(qs), C))
+        with np.errstate(over="ignore", invalid="ignore"):
+            expect = _csv_oracle(Spectrum(waves, values), extra_col)
+        assert spectrum_csv_text(Spectrum(waves, values), extra_col) == expect
+        assert spectrum_csv_text(Spectrum(twin, values), extra_col) == expect
+    assert waves == twin == WaveSet(d, qs)
+    assert hash(waves) == hash(twin) == hash(WaveSet(d, qs))
 
 
 def _symmetry_oracle(spectrum):

@@ -447,6 +447,15 @@ def test_refine_by_indicator_round_trip():
     assert same is mesh and not np.any(flags2)
 
 
+def test_refine_by_indicator_rejects_nan_tolerance():
+    mesh = uniform_mesh(2, 2, 3)
+    field = sample_field(mesh, gll_rule(3), lambda X: np.sin(X[:, 0]) * X[:, 1])
+    with pytest.raises(ValueError, match="refinement tolerance is NaN"):
+        refine_by_indicator(mesh, field, float("nan"))
+    refined, flags, _ = refine_by_indicator(mesh, field, -1.0)  # every element
+    assert flags.all() and refined.K == 4 * 2 ** 2
+
+
 def test_mesh_json_round_trip_keeps_exact_geometry():
     mesh = refine(uniform_mesh(2, 2, 4), [0, 3])
     data = mesh_to_dict(mesh)
