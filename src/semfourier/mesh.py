@@ -184,6 +184,26 @@ class Mesh:
 # their temporary arrays to a few tens of MB.
 _PAIR_BLOCK = 1 << 18
 
+# Nodes handled at once by the two whole-field passes, sampling and the
+# indicator, in blocks of whole elements (one element at least); keeps
+# their temporaries to one block of the sampler's width, not the field's.
+_NODE_BLOCK = 1 << 12
+
+
+def _element_blocks(mesh: Mesh):
+    """Yield slices of consecutive elements: the fewest blocks of at most
+    ``_NODE_BLOCK`` nodes (or one element), sized within one element of
+    each other.
+
+    Balanced blocks give no 1D mesh with K >= 2 a block of one element:
+    numpy contracts a lone element of a scalar 1D field by a matrix-vector
+    product, which rounds unlike the matrix product of a longer block.
+    """
+    blocks = -(-mesh.K // max(1, _NODE_BLOCK // mesh.nodes_per_element))
+    edges = (np.arange(blocks + 1) * mesh.K // blocks).tolist()
+    for s, e in zip(edges[:-1], edges[1:]):
+        yield slice(s, e)
+
 
 def _range_pairs(start: np.ndarray, stop: np.ndarray):
     """Yield (rows, cols) blocks listing every col in [start[r], stop[r]).
@@ -289,20 +309,35 @@ def sample_field(mesh: Mesh, rule: GllRule, f) -> NodalField:
     Args:
         mesh: target mesh.
         rule: GLL rule matching mesh.P.
-        f: vectorized callable mapping points (N, d) to values (N,) or
-            (N, C).
+        f: pointwise vectorized callable mapping points (N, d) to values
+            (N,) or (N, C), each row depending on its point alone. It is
+            called once per block of whole elements in index order, with N
+            a multiple of (P+1)^d and at most max(``_NODE_BLOCK``, (P+1)^d),
+            and must return the same C for every block.
 
     Returns:
         NodalField with the sampled values; raises on non-finite output.
+        Working memory is the field plus one block of ``f``'s intermediates.
     """
-    pos = gll_node_positions(mesh, rule)
-    flat = pos.reshape(-1, mesh.d)
-    vals = np.asarray(f(flat), dtype=float)
-    if vals.ndim == 1:
-        vals = vals[:, None]
-    if vals.shape[0] != flat.shape[0]:
-        raise ValueError("sampler returned wrong number of values")
-    return NodalField(mesh, vals.reshape(mesh.K, mesh.nodes_per_element, vals.shape[1]).copy())
+    if rule.degree != mesh.P:
+        raise ValueError("rule degree does not match mesh degree")
+    ref = tensor_grid(rule.nodes, mesh.d)
+    n = mesh.nodes_per_element
+    out = None
+    for blk in _element_blocks(mesh):
+        pos = (mesh.a[blk, None, :] + mesh.h[blk, None, :] * ref).reshape(-1, mesh.d)
+        vals = np.asarray(f(pos), dtype=float)
+        if vals.ndim == 1:
+            vals = vals[:, None]
+        if vals.ndim != 2 or vals.shape[0] != pos.shape[0]:
+            raise ValueError("sampler returned wrong number of values")
+        if out is None:
+            out = np.empty((mesh.K, n, vals.shape[1]))
+        elif vals.shape[1] != out.shape[2]:
+            raise ValueError(f"sampler returned {vals.shape[1]} components "
+                             f"after {out.shape[2]}")
+        out[blk] = vals.reshape(-1, n, out.shape[2])
+    return NodalField(mesh, out)
 
 
 def _locate(mesh: Mesh, X: np.ndarray) -> np.ndarray:
@@ -389,15 +424,20 @@ def element_indicator(field: NodalField) -> np.ndarray:
 
     For each element, the RMS over the slab p_alpha = P of the modal
     tensor, per component; the indicator is the max over axes and
-    components. Smooth well-resolved data drives it toward zero.
+    components. Smooth well-resolved data drives it toward zero. The modal
+    tensors are formed over blocks of whole elements, so working memory is
+    a few blocks of ``_NODE_BLOCK`` nodes, not a few fields.
     """
     mesh = field.mesh
-    modal = nodal_to_modal(legendre_coeffs(gll_rule(mesh.P)), field.values, mesh.d)
+    table = legendre_coeffs(gll_rule(mesh.P))
     worst = np.zeros(mesh.K)
-    for axis in range(mesh.d):
-        slab = np.take(modal, mesh.P, axis=mesh.d - axis)
-        rms = np.sqrt(np.mean(np.square(slab.reshape(mesh.K, -1, field.components)), axis=1))
-        worst = np.maximum(worst, np.max(rms, axis=1))
+    for blk in _element_blocks(mesh):
+        modal = nodal_to_modal(table, field.values[blk], mesh.d)
+        for axis in range(mesh.d):
+            slab = np.take(modal, mesh.P, axis=mesh.d - axis)
+            rms = np.sqrt(np.mean(np.square(slab.reshape(len(modal), -1, field.components)),
+                                  axis=1))
+            worst[blk] = np.maximum(worst[blk], np.max(rms, axis=1))
     return worst
 
 
@@ -515,7 +555,8 @@ def write_field(field: NodalField, path) -> None:
     header += b"\x00" * (32 - len(header))
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(field.values, dtype="<f8").tobytes())
+        # a byte view; copied only where float64 is not little-endian
+        fh.write(memoryview(np.ascontiguousarray(field.values, dtype="<f8")).cast("B"))
 
 
 def _check_field_header(d, P, K, mesh: Mesh) -> None:

@@ -65,7 +65,7 @@ class WaveSet:
         for q in self.qs:
             if len(q) != self.d:
                 raise ValueError(f"wavevector {q} does not have dimension {self.d}")
-            if not all(isinstance(c, int) for c in q):
+            if not all(type(c) is int for c in q):  # bool is an int subclass
                 raise ValueError(f"wavevector {q} has non-integer components")
             if not all(abs(c) < 2 ** 63 for c in q):
                 raise ValueError(f"wavevector {q} has a component outside int64")
@@ -83,8 +83,10 @@ class WaveSet:
     @classmethod
     def from_list(cls, qs) -> "WaveSet":
         """The listed wavevectors; numpy integers become ints, and any other
-        non-integer component is rejected as by the constructor."""
-        tup = tuple(tuple(int(c) if isinstance(c, Integral) else c for c in q) for q in qs)
+        non-integer component, bools included, is rejected as by the
+        constructor."""
+        tup = tuple(tuple(int(c) if isinstance(c, Integral) and type(c) is not bool else c
+                          for c in q) for q in qs)
         if not tup:
             raise ValueError("empty wavevector list needs an explicit dimension")
         return cls(len(tup[0]), tup)

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import tracemalloc
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -717,3 +718,180 @@ def test_batched_indicator_matches_per_element_modal_tensors():
         expect.append(max(np.max(np.sqrt(np.mean(np.square(
             np.take(modal, 4, axis=1 - t).reshape(-1, 2)), axis=0))) for t in range(2)))
     np.testing.assert_allclose(element_indicator(field), expect, rtol=1e-14, atol=0)
+
+
+# ------------------------------------------------ blocked field passes --
+
+def _sample_oracle(mesh, rule, f):
+    """The one-call sampler: f on every node position of the mesh at once."""
+    vals = np.asarray(f(gll_node_positions(mesh, rule).reshape(-1, mesh.d)), dtype=float)
+    if vals.ndim == 1:
+        vals = vals[:, None]
+    return vals.reshape(mesh.K, mesh.nodes_per_element, vals.shape[1])
+
+
+def _indicator_oracle(field):
+    """The indicator from one modal tensor of the whole field."""
+    mesh = field.mesh
+    modal = nodal_to_modal(legendre_coeffs(gll_rule(mesh.P)), field.values, mesh.d)
+    worst = np.zeros(mesh.K)
+    for axis in range(mesh.d):
+        slab = np.take(modal, mesh.P, axis=mesh.d - axis)
+        rms = np.sqrt(np.mean(np.square(slab.reshape(mesh.K, -1, field.components)), axis=1))
+        worst = np.maximum(worst, np.max(rms, axis=1))
+    return worst
+
+
+@contextmanager
+def _node_block(n):
+    """Run with the whole-field passes taking about n nodes at a time."""
+    saved = mesh_module._NODE_BLOCK
+    mesh_module._NODE_BLOCK = n
+    try:
+        yield
+    finally:
+        mesh_module._NODE_BLOCK = saved
+
+
+def _wave_sampler(rng, d, C):
+    """Pointwise sampler of C products of random plane waves; C = 1 as (N,)."""
+    w, phase = rng.uniform(-3, 3, (2, d, C)), rng.uniform(-3, 3, (C,))
+
+    def f(X):
+        U = np.sin(X @ w[0] + phase) * np.cos(X @ w[1])
+        return U[:, 0] if C == 1 else U
+
+    return f
+
+
+@st.composite
+def _blocked_meshes(draw):
+    """A refined dyadic mesh of at least three default node blocks."""
+    d, P = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    per_axis = math.ceil((3 * mesh_module._NODE_BLOCK / (P + 1) ** d) ** (1 / d))
+    mesh = uniform_mesh(d, per_axis, P)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    for _ in range(draw(st.integers(0, 2))):
+        mesh = refine(mesh, rng.random(mesh.K) < draw(st.sampled_from((0.05, 0.3))))
+    return mesh, rng
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_blocked_meshes(), st.integers(1, 3), st.sampled_from((64, None)))
+def test_blocked_passes_match_one_call_oracle(case, C, block):
+    mesh, rng = case
+    rule = gll_rule(mesh.P)
+    f = _wave_sampler(rng, mesh.d, C)
+    noisy = NodalField(mesh, rng.uniform(-1, 1, (mesh.K, mesh.nodes_per_element, C)))
+    with _node_block(block or mesh_module._NODE_BLOCK):
+        field = sample_field(mesh, rule, f)
+        indicators = [element_indicator(g) for g in (field, noisy)]
+    assert field.values.tobytes() == _sample_oracle(mesh, rule, f).tobytes()
+    for g, got in zip((field, noisy), indicators):
+        assert got.tobytes() == _indicator_oracle(g).tobytes()
+
+
+@pytest.mark.parametrize("P", [2, 8])
+def test_scalar_1d_indicator_matches_oracle_one_element_past_a_block(P):
+    # a block of one lone element would contract by a matrix-vector
+    # product, which rounds unlike the one-call matrix product
+    K = mesh_module._NODE_BLOCK // (P + 1) + 1
+    mesh = uniform_mesh(1, K, P)
+    field = NodalField(mesh, np.random.default_rng(K).standard_normal((K, P + 1, 1)))
+    assert element_indicator(field).tobytes() == _indicator_oracle(field).tobytes()
+
+
+@pytest.mark.parametrize("d,per_axis,P,block", [
+    (1, 2048, 3, None), (2, 40, 4, None), (3, 8, 6, None), (2, 40, 3, 50), (3, 8, 2, 1),
+    (3, 2, 17, None)])  # the last with more nodes per element than a block
+def test_sampler_gets_whole_elements_at_most_one_block_at_a_time(d, per_axis, P, block):
+    mesh = refine(uniform_mesh(d, per_axis, P), [0, 3])
+    rule = gll_rule(P)
+    n = mesh.nodes_per_element
+    calls = []
+
+    def f(X):
+        calls.append(X.copy())
+        return X[:, 0]
+
+    with _node_block(block or mesh_module._NODE_BLOCK):
+        sample_field(mesh, rule, f)
+        per_call = max(1, mesh_module._NODE_BLOCK // n)  # elements
+    sizes = [X.shape[0] for X in calls]
+    assert len(calls) == -(-mesh.K // per_call) >= 3
+    assert all(N % n == 0 and 0 < N <= per_call * n for N in sizes)
+    assert max(sizes) - min(sizes) <= n
+    np.testing.assert_array_equal(np.concatenate(calls),
+                                  gll_node_positions(mesh, rule).reshape(-1, d))
+
+
+def _fickle(change):
+    """Sampler whose second call returns a changed output."""
+    calls = []
+
+    def f(X):
+        calls.append(X.shape[0])
+        if len(calls) == 1:
+            return np.zeros((X.shape[0], 2))
+        return np.zeros((X.shape[0], 3)) if change == "columns" else np.zeros((1, 2))
+
+    return f
+
+
+@pytest.mark.parametrize("change,message", [("columns", "3 components after 2"),
+                                            ("rows", "wrong number")])
+def test_sampler_changing_its_output_on_a_later_block_is_rejected(change, message):
+    mesh = uniform_mesh(2, 32, 4)  # 25600 nodes, several blocks
+    with pytest.raises(ValueError, match=message):
+        sample_field(mesh, gll_rule(4), _fickle(change))
+
+
+def _peak_bytes(fn, *args):
+    """tracemalloc peak of one call, after one untraced warm-up call."""
+    fn(*args)
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+_WIDTH = 100  # floats per point in the wide sampler's intermediates
+
+
+def _wide_sampler(d, C):
+    """Pointwise sampler whose intermediates are _WIDTH floats per point."""
+    rng = np.random.default_rng(3)
+    w, m = rng.uniform(-1, 1, (d, _WIDTH)), rng.uniform(-1, 1, (_WIDTH, C))
+    return lambda X: np.sin(X @ w) @ m
+
+
+def test_sampling_memory_is_the_field_plus_one_block():
+    # 2D, K=4096, P=3, C=3: 65536 nodes; one call on every node holds two
+    # (65536, 100) intermediates, about 105 MB
+    mesh, C = uniform_mesh(2, 64, 3), 3
+    f = _wide_sampler(2, C)
+    peak = _peak_bytes(sample_field, mesh, gll_rule(3), f)
+    field = mesh.K * mesh.nodes_per_element * C * 8
+    # NodalField's finiteness mask, and per block the positions, X @ w and
+    # its sine, the values and their float copy
+    bound = field + field // 8 + 3 * mesh_module._NODE_BLOCK * _WIDTH * 8
+    whole = 2 * mesh.K * mesh.nodes_per_element * _WIDTH * 8
+    assert peak <= bound
+    assert whole >= 4 * bound
+
+
+def test_indicator_memory_is_a_few_blocks():
+    # 3D, K=4096, P=3, C=3: the modal tensor of the whole field and the
+    # tensordot copies behind it come to about three fields, 19 MB
+    mesh, C = uniform_mesh(3, 16, 3), 3
+    field = NodalField(mesh, np.random.default_rng(5).uniform(
+        -1, 1, (mesh.K, mesh.nodes_per_element, C)))
+    peak = _peak_bytes(element_indicator, field)
+    # the result, and per block the values, the modal tensor, tensordot's
+    # copies and one slab's squares
+    bound = mesh.K * 8 + 6 * mesh_module._NODE_BLOCK * C * 8
+    assert peak <= bound
+    assert field.values.nbytes >= 8 * bound

@@ -284,6 +284,14 @@ def test_waveset_construction_rules():
         ws.index((1, 0))
 
 
+@pytest.mark.parametrize("qs", [((True,), (False,), (-3,)), ((1, np.True_),)])
+def test_waveset_rejects_bool_components(qs):
+    with pytest.raises(ValueError, match="non-integer"):
+        WaveSet(len(qs[0]), qs)
+    with pytest.raises(ValueError, match="non-integer"):
+        WaveSet.from_list(qs)
+
+
 def test_empty_waveset_transform():
     mesh = uniform_mesh(1, 2, 2)
     field = sample_field(mesh, gll_rule(2), lambda X: X[:, 0])
