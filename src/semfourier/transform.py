@@ -21,6 +21,10 @@ per-axis values for a box or any list dense in that grid, in real
 arithmetic on the folded tables (a spectrum of a real field so computed is
 exactly conjugate-symmetric), and wave by wave from the complex phi_hat
 rows that ``transform(compensated=True)`` also uses for any other list.
+The sum factorization contracts node axis d first. Elements with equal
+intervals on the axes not yet contracted share those axes' tables, so
+each such group (a pencil, then a slab) is summed inside one matmul, and
+the later axes run once per group, not once per element.
 """
 
 from __future__ import annotations
@@ -237,90 +241,216 @@ def _factor_tables(a: np.ndarray, h: np.ndarray, H, L, u_axes,
 
 
 def contract_waves(values: np.ndarray, factors, weight: np.ndarray,
-                   waves: WaveSet) -> np.ndarray:
+                   waves: WaveSet, *, groups=None) -> np.ndarray:
     """sum_k weight[k] sum_j prod_t F_t[k, q_t, j_t] values[k, j] per wave q.
 
     values has shape (K, n^d, C), axis 1 fastest within a block, real or
     complex; factors[t] is the folded float64 table of F_t over the
     distinct |q_t| of ``waves`` (``fold_table``, ``waves.axis_folds``):
     shape (K, rows_t, n), rows Re F_t, then Im F_t where |q_t| > 0, with
-    F_t(-q_t) = conj F_t(q_t). Returns shape (len(waves), C) complex, in
-    wave order.
+    F_t(-q_t) = conj F_t(q_t). ``groups`` is the element grouping of the
+    plan that built the tables (``TransformPlan.groups``); without it each
+    element is its own group until the last axis. Returns shape
+    (len(waves), C) complex, in wave order.
 
     Elements are summed in a fixed order, in blocks whose memory
     ``_VALUE_BLOCK`` caps whatever K. ``_contract_product`` contracts the
-    real values against the real tables, one element-batched matmul per
-    axis, then unfolds the grid of per-axis values; its last axis
-    dominates, at prod_t rows_t n C real multiply-adds per element, a
-    quarter of the complex product over the signed values.
-    ``_contract_rows`` costs at least len(waves) n^d C complex ones. So a
-    set with ``prod_t m_t <= len(waves) n^(d-1)`` (m_t distinct q_t) takes
-    the product, as every box and full product does, and any other list
-    the rows.
+    real values against the real tables, one axis at a time with each
+    group's members summed inside one matmul, then unfolds the grid of
+    per-axis values. Ungrouped, its last axis dominates, at
+    prod_t rows_t n C real multiply-adds per element, a quarter of the
+    complex product over the signed values. ``_contract_rows`` costs at
+    least len(waves) n^d C complex ones. So a set with
+    ``prod_t m_t <= len(waves) n^(d-1)`` (m_t distinct q_t) takes the
+    product, as every box and full product does, and any other list the
+    rows. Groups only make the product cheaper, so with them this
+    crossover sends some lists to the rows that the product would do
+    faster.
     """
     axis_values, m = waves.axis_index
     d, n = len(factors), factors[0].shape[2]
     if math.prod(len(v) for v in axis_values) <= len(waves) * n ** (d - 1):
-        return _contract_product(values, factors, weight, waves.axis_folds, m)
+        return _contract_product(values, factors, weight, waves.axis_folds, m, groups)
     return _contract_rows(values, factors, weight, waves.axis_folds, m)
 
 
-# Cap on the complex values one element block of either contraction path
-# holds per intermediate array (twice as many float64 values, the same
-# bytes); a block holds at least one element. At 2^13 complex values
-# (128 KiB) the intermediates stay under the C allocator's default mmap
-# threshold, so blocks reuse heap memory: larger blocks measured up to 2x
-# slower on the 3D hanging-node benchmark mesh, from fresh pages.
-_VALUE_BLOCK = 1 << 13
+# Cap on the complex values one block of either contraction path holds per
+# intermediate array (twice as many float64 values, the same bytes). A
+# block of the product path holds whole top-level groups of ``_Groups``,
+# at least one, so a group above the cap is a block of its own; a block of
+# the rows path holds at least one element. Each block costs about 25 us
+# of numpy calls: on the 3D hanging-node benchmark mesh (K=176, P=5, C=3,
+# 12 slabs) the transform took 0.50 ms at 2^13 (9 blocks), 0.40 ms at 2^14
+# (5 blocks) and 0.31 ms at 2^15 (2 blocks) or unblocked. 2^14 (256 KiB)
+# is the largest power of two at which the bound of the box memory test in
+# tests/test_contraction.py stays 8x below the gather it guards against.
+_VALUE_BLOCK = 1 << 14
 
 
-def _contract_product(values, factors, weight, folds, m):
-    """``contract_waves`` over the whole product of the per-axis values.
+def _contract_product(values, factors, weight, folds, m, groups):
+    """``contract_waves`` over the whole product of the per-axis values,
+    by sum factorization over groups of elements.
 
-    Complex values go through as 2C real components. Elements go in blocks
-    of B = 2 _VALUE_BLOCK // (largest per-element intermediate). Within a
-    block the nodal values are weighted, then axis t is one batched real
-    (B, rows_t, n) @ (B, n, rest) matmul, after which one transpose moves
-    rows_t behind the rest and brings node axis t+1 forward. Block sums
-    over elements are added in block order: no BLAS call reduces over
-    elements, so the result does not depend on threading. The real total
-    is then unfolded one axis at a time into the complex grid of signed
-    values, u_hat = E + i s O from the Re rows E and the Im rows O, which
-    gives u_hat(-q) = conj u_hat(q) exactly for real values.
+    Complex values go through as 2C real components. Stage s = 0..d-1
+    contracts node axis d - s of its items, which are the elements at
+    stage 0 and the groups of stage s - 1 after it; an item is n rows of
+    R[s] values, node axis d - s first. The stage's groups are the items
+    with equal intervals on axes 1..d-1-s (``_Groups``): pencils, then
+    slabs, and at the last stage one group of all items. Items of a group
+    share that axis' table, so the group's sum is one matmul,
+    [X_1; X_2; ..]^T @ [F(1)^T; F(2)^T; ..], of its members' stacked
+    values against their stacked tables, weighted by |det h_k| / pi^d at
+    stage 0; groups of one size go through one batched matmul, and each
+    sum comes out as an item of the next stage, node axis d - s - 1 first,
+    without a transposing copy. Blocks of whole top-level groups are
+    summed in block order, so a group's sum never spans two blocks. The
+    order of every sum is fixed by the grouping and by ``_VALUE_BLOCK``,
+    and BLAS threads split a matmul by its output, not by its sums, so the
+    result does not depend on the thread count. The real total is then
+    unfolded one axis at a
+    time into the complex grid of signed values, u_hat = E + i s O from
+    the Re rows E and the Im rows O, which gives u_hat(-q) = conj u_hat(q)
+    exactly for real values.
     """
     K, _, C = values.shape
     if np.iscomplexobj(values):
         both = _contract_product(np.concatenate([values.real, values.imag], axis=2),
-                                 factors, weight, folds, m)
+                                 factors, weight, folds, m, groups)
         return both[:, :C] + 1j * both[:, C:]
     d, n = len(factors), factors[0].shape[2]
     sizes = [F.shape[1] for F in factors]
-    per_element = max(math.prod(sizes[:t]) * n ** (d - t) * C for t in range(d + 1))
-    B = max(1, 2 * _VALUE_BLOCK // per_element)
-    # (k, j_d .. j_1, c) -> (k, j_1 .. j_d, c)
-    order = (0,) + tuple(range(d, 0, -1)) + (d + 1,)
-    total = np.zeros((sizes[-1], C) + tuple(sizes[:-1]))
-    for lo in range(0, K, B):
-        block = values[lo:lo + B]
-        b, rest = block.shape[0], n ** (d - 1) * C
-        w = weight[lo:lo + B].reshape((b,) + (1,) * (d + 1))
-        X = np.multiply(block.reshape((b,) + (n,) * d + (C,)).transpose(order), w,
-                        order="C", dtype=float)
-        for t, F in enumerate(factors):
-            X = F[lo:lo + B] @ X.reshape(b, n, rest)
-            if t < d - 1:
-                # (b, r_t, j_{t+1}, r) -> (b, j_{t+1}, r, r_t)
-                X = X.reshape(b, sizes[t], n, rest // n).transpose(0, 2, 3, 1).copy()
-                rest = rest // n * sizes[t]
-        # axes (r_d, c, r_1 .. r_{d-1})
-        total += X.reshape((b,) + total.shape).sum(axis=0)
-    del X  # free the last block before the unfold's grid-sized temporaries
-    grid = total
+    R = [n ** (d - 1 - s) * C * math.prod(sizes[d - s:]) for s in range(d)]
+    # largest per-item array of each stage: its values or its table
+    item = tuple(n * max(R[s], sizes[d - 1 - s]) for s in range(d))
+    if groups is None:
+        groups = _Groups(np.arange(K), (np.arange(K),) * (d - 1))
+    total = np.zeros((R[-1], sizes[0]))
+    for stages in groups.schedule(item):
+        total += _contract_block(values, factors, weight, stages, R)
+    # axes (c, r_d .. r_1) -> (r_d .. r_1, c)
+    grid = np.moveaxis(total.reshape([C] + sizes[::-1]), 0, -1)
     for t, (_, e, o, s) in enumerate(folds):
-        axis = 0 if t == d - 1 else t + 2
-        grid = _unfold(grid, axis, e, o, s)
-    # axes (m_d, c, m_1 .. m_{d-1}); the wave index goes first
-    return grid[(m[:, -1], slice(None)) + tuple(m[:, :-1].T)]
+        grid = _unfold(grid, d - 1 - t, e, o, s)
+    return grid[tuple(m[:, ::-1].T)]
+
+
+def _contract_block(values, factors, weight, stages, R):
+    """The grouped contraction of one block, by the index arrays of
+    ``_Groups.schedule``; returns its (R[d-1], rows_1) total."""
+    d, n = len(factors), factors[0].shape[2]
+    X = values
+    for s, (pick, reps, runs) in enumerate(stages):
+        if pick is not None:
+            X = X.take(pick, axis=0)
+        T = factors[d - 1 - s].transpose(0, 2, 1)[reps]
+        if s == 0:
+            T *= weight[reps, None, None]
+        N, _, r = T.shape
+        if s == d - 1:
+            return X.reshape(N * n, R[s]).T @ T.reshape(N * n, r)
+        out = np.empty((runs[-1][1], R[s], r))
+        for g0, g1, i0, i1 in runs:
+            size = (i1 - i0) // (g1 - g0) * n
+            np.matmul(X[i0:i1].reshape(g1 - g0, size, R[s]).transpose(0, 2, 1),
+                      T[i0:i1].reshape(g1 - g0, size, r), out=out[g0:g1])
+        X = out
+
+
+class _Groups:
+    """The element groups of the grouped contraction.
+
+    ``order`` sorts the elements by their intervals on axes 1..d-1, so that
+    each group is a run of it, and ``starts[s]`` holds the sorted positions
+    where the groups of stage s = 0..d-2 start: runs of equal intervals on
+    axes 1..d-1-s. The top-level groups are those of stage d-2, or the
+    elements in 1D. Block schedules are kept per (item sizes, cap).
+    """
+
+    def __init__(self, order: np.ndarray, starts: tuple[np.ndarray, ...]):
+        self.order, self.starts, self._schedules = order, starts, {}
+
+    @classmethod
+    def of_mesh(cls, mesh: Mesh) -> "_Groups":
+        """Groups of equal (A[:, t], H[:, t]) on an exact mesh and of equal
+        bits of (a[:, t], h[:, t]) on a float one: equal tables."""
+        if mesh.H is None:
+            x, y = (np.ascontiguousarray(v).view(np.int64) for v in (mesh.a, mesh.h))
+        else:
+            x, y = mesh.A, mesh.H
+        keys = [v[:, t] for t in range(mesh.d - 1) for v in (x, y)]
+        order = np.lexsort(keys[::-1]) if keys else np.arange(mesh.K)
+        new = np.zeros(mesh.K, dtype=bool)
+        new[0] = True
+        starts = []
+        for t in range(0, len(keys), 2):
+            for key in keys[t:t + 2]:
+                k = key[order]
+                new[1:] |= k[1:] != k[:-1]
+            starts.append(np.flatnonzero(new))
+        for a in [order] + starts:
+            a.setflags(write=False)
+        return cls(order, tuple(starts[::-1]))
+
+    def schedule(self, item: tuple[int, ...]) -> list:
+        """Per block, per stage, (pick, reps, runs): the rows that put the
+        stage's items in storage order (None if they are in it), the
+        element whose table each item reads, and the (g0, g1, i0, i1) runs
+        of groups g0:g1 of one size whose items are i0:i1. The last stage
+        has no runs. ``item`` holds the largest per-item array of each
+        stage; blocks follow ``_VALUE_BLOCK`` as it is at the call."""
+        key = item, _VALUE_BLOCK
+        if key not in self._schedules:
+            self._schedules[key] = [self._stages(lo, hi) for lo, hi in self._blocks(item)]
+        return self._schedules[key]
+
+    def _blocks(self, item):
+        """(lo, hi) runs of the sorted elements that hold whole top-level
+        groups, as many as fit 2 _VALUE_BLOCK values of the largest stage
+        array of each, and at least one."""
+        K = self.order.size
+        tops = self.starts[-1] if self.starts else np.arange(K)
+        bounds = np.append(tops, K)
+        foot = np.zeros(tops.size, dtype=np.int64)
+        for s, first in enumerate((np.arange(K),) + self.starts):
+            foot = np.maximum(foot, np.diff(np.searchsorted(first, bounds)) * item[s])
+        cum = np.cumsum(foot)
+        i = 0
+        while i < tops.size:
+            j = np.searchsorted(cum, cum[i] - foot[i] + 2 * _VALUE_BLOCK, "right")
+            j = max(i + 1, int(j))
+            yield int(bounds[i]), int(bounds[j])
+            i = j
+
+    def _stages(self, lo, hi):
+        """``schedule``'s stages of the sorted elements lo:hi."""
+        elems = self.order[lo:hi]
+        firsts = [np.arange(hi - lo)] + [s[np.searchsorted(s, lo):np.searchsorted(s, hi)] - lo
+                                          for s in self.starts]
+        stages, rows = [], None
+        for s, first in enumerate(firsts):
+            if s == len(self.starts):  # one group: every item, as they come
+                perm = np.arange(first.size) if s == 0 else rows
+                pick, runs = (elems if s == 0 else None), None
+            else:
+                p = np.searchsorted(first, firsts[s + 1])
+                counts = np.diff(np.append(p, first.size))
+                cls = np.argsort(counts, kind="stable")
+                c = counts[cls]
+                # item storage order: groups by size, each group's run of items
+                perm = np.repeat(p[cls] - np.cumsum(c) + c, c) + np.arange(first.size)
+                if s == 0:
+                    pick = elems[perm]
+                else:  # the previous stage stored its groups in the order ``rows``
+                    pick = np.argsort(rows)[perm]
+                    if np.array_equal(pick, np.arange(pick.size)):
+                        pick = None
+                g = np.append(np.flatnonzero(np.diff(c)) + 1, c.size)
+                i = np.cumsum(c)[g - 1]
+                runs = list(zip([0] + g[:-1].tolist(), g.tolist(), [0] + i[:-1].tolist(),
+                                i.tolist()))
+                rows = cls
+            stages.append((pick, elems[first[perm]], runs))
+        return stages
 
 
 def _unfold(grid, axis, e, o, s):
@@ -366,6 +496,9 @@ class TransformPlan:
             at q_t is Re + i sign(q_t) Im, since F_t(-q_t) = conj F_t(q_t).
             ``waves.axis_folds`` maps each distinct q_t to its rows.
         weight: |det h_k| / pi^d per element, shape (K,).
+        groups: the elements grouped by their intervals on axes 1..d-1
+            (``_Groups``), for the grouped sum factorization of
+            ``contract_waves``; it keeps each block schedule it is asked for.
         n_bessel_args: number of distinct Bessel arguments evaluated.
     """
 
@@ -381,6 +514,7 @@ class TransformPlan:
         self.waves = waves
         self.factors, self.weight, self.n_bessel_args = _factor_tables(
             mesh.a, mesh.h, mesh.H, mesh.L, [u for u, *_ in waves.axis_folds], table)
+        self.groups = _Groups.of_mesh(mesh)
         for a in self.factors + (self.weight,):
             a.setflags(write=False)
 
@@ -419,17 +553,21 @@ def phi_hat(mesh: Mesh, k: int, j, q) -> complex:
     Builds one-element tables from row k of the geometry arrays with the
     plan's table builder and multiplies them with the plan's product,
     ``_coefficient``, so values agree bitwise with
-    ``TransformPlan.basis_coefficient``.
+    ``TransformPlan.basis_coefficient``. A q that ``WaveSet.from_list``
+    rejects, or a k or j_t that is not an integer (bools included), raises
+    ValueError; an index out of range raises IndexError.
     """
     d = mesh.d
     j_tup = (j,) if np.isscalar(j) else tuple(j)
     q_tup = (q,) if np.isscalar(q) else tuple(q)
     if len(j_tup) != d or len(q_tup) != d:
         raise ValueError("index/wavevector dimension mismatch")
+    if not all(isinstance(v, Integral) and type(v) is not bool for v in (k,) + j_tup):
+        raise ValueError(f"element index {k!r} or node index {j_tup} is not an integer")
     if not (0 <= k < mesh.K and all(0 <= jt <= mesh.P for jt in j_tup)):
         raise IndexError("element or node index out of range")
     row = slice(k, k + 1)
-    folds = [_fold(np.array([int(v)])) for v in q_tup]
+    folds = WaveSet.from_list([q_tup]).axis_folds
     tables, weight, _ = _factor_tables(
         mesh.a[row], mesh.h[row], None if mesh.H is None else mesh.H[row], mesh.L,
         [u for u, *_ in folds], legendre_coeffs(gll_rule(mesh.P)))
@@ -452,7 +590,7 @@ def transform(field: NodalField, plan: TransformPlan,
         raise ValueError("field and plan use different meshes")
     if not compensated:
         return Spectrum(plan.waves, contract_waves(
-            field.values, plan.factors, plan.weight, plan.waves))
+            field.values, plan.factors, plan.weight, plan.waves, groups=plan.groups))
     C = field.values.shape[2]
     out = np.empty((len(plan.waves), C), dtype=complex)
     for qi, m in enumerate(plan.waves.axis_index[1]):

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import semfourier
 import semfourier.transform as T
 from semfourier.gll import gll_rule, legendre_coeffs
-from semfourier.mesh import NodalField, refine, uniform_mesh
+from semfourier.mesh import Mesh, NodalField, refine, uniform_mesh
 from semfourier.transform import (
     Spectrum,
     WaveSet,
@@ -111,6 +111,39 @@ def test_box_contraction_memory_is_capped_by_the_block():
     # result and its index
     block = max(T._VALUE_BLOCK, len(waves)) * 16
     bound = 3 * block + 4 * len(waves) * 16
+    assert peak <= bound
+    assert gather >= 8 * bound
+
+
+def _slab_mesh(slabs, across, P):
+    """Exact 3D mesh of slabs x across x across equal boxes: axis 1 is cut
+    into ``slabs`` intervals, so each slab of across^2 elements is one
+    top-level group of the grouped contraction."""
+    L = slabs * across
+    i, j, k = np.meshgrid(range(slabs), range(across), range(across), indexing="ij")
+    step = L // across
+    A = np.stack([across * (2 * i + 1 - slabs), step * (2 * j + 1 - across),
+                  step * (2 * k + 1 - across)], axis=-1).reshape(-1, 3)
+    H = np.tile([across, step, step], (len(A), 1))
+    return Mesh(3, P, A.tolist(), H.tolist(), L)
+
+
+def test_grouped_contraction_memory_is_capped_by_the_block():
+    # 3D, 128 slabs of 8 x 8 elements (K=8192), P=3, C=2: gathering every
+    # element's values at once, as an unblocked grouped contraction does
+    # before its first matmul, takes K x 64 x 2 floats (8.4 MB)
+    mesh = _slab_mesh(128, 8, 3)
+    waves = WaveSet.box(3, 2)
+    plan = _plan(mesh, waves)
+    field = _field(mesh, 2, 163)
+    peak = _peak_bytes(transform, field, plan)
+    gather = mesh.K * mesh.nodes_per_element * 2 * 8
+    # blocks hold whole slabs: at most three block intermediates of the
+    # larger of the cap and one slab's values, plus the summed spectrum,
+    # its unfolded copies and the result
+    slab = 8 * 8 * mesh.nodes_per_element * 2 * 8
+    block = max(T._VALUE_BLOCK * 16, slab)
+    bound = 3 * block + 4 * len(waves) * 2 * 16
     assert peak <= bound
     assert gather >= 8 * bound
 
@@ -246,7 +279,7 @@ import hashlib
 import numpy as np
 from semfourier.cubature import TrigGrid, cubature_transform
 from semfourier.gll import gll_rule, legendre_coeffs
-from semfourier.mesh import NodalField, refine, uniform_mesh
+from semfourier.mesh import Mesh, NodalField, refine, uniform_mesh
 from semfourier.transform import WaveSet, build_plan, transform
 mesh = refine(uniform_mesh(3, 4, 5), [0, 9, 30, 63])
 rule = gll_rule(5)
@@ -271,6 +304,39 @@ def test_transform_is_bitwise_equal_across_blas_thread_counts(tmp_path):
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         env.update({name: threads for name in _THREAD_VARS})
         proc = subprocess.run([sys.executable, "-c", _DIGEST_SCRIPT], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
+
+
+_GROUPED_DIGEST_SCRIPT = """
+import hashlib
+import numpy as np
+from semfourier.gll import gll_rule, legendre_coeffs
+from semfourier.mesh import NodalField, uniform_mesh
+from semfourier.transform import WaveSet, build_plan, transform
+mesh = uniform_mesh(3, 8, 6)
+rule = gll_rule(6)
+values = np.random.default_rng(167).uniform(-1, 1, (mesh.K, 343, 3))
+spec = transform(NodalField(mesh, values),
+                 build_plan(mesh, rule, legendre_coeffs(rule), WaveSet.box(3, 12)))
+print(hashlib.sha256(spec.values.tobytes()).hexdigest())
+"""
+
+
+def test_grouped_transform_is_bitwise_equal_across_blas_thread_counts(tmp_path):
+    # K=512, P=6, C=3, |q_t| <= 12: each slab's matmul sums its 8 pencils
+    # inside one BLAS call, (525 x 56) @ (56 x 25), 735 000 multiply-adds:
+    # past OpenBLAS's threading threshold of 2^18 per thread, so two
+    # threads split it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(semfourier.__file__)))
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env.update({name: threads for name in _THREAD_VARS})
+        proc = subprocess.run([sys.executable, "-c", _GROUPED_DIGEST_SCRIPT], cwd=tmp_path,
                               env=env, capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         digests.append(proc.stdout.strip())

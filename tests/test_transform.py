@@ -205,6 +205,23 @@ def test_wave_and_element_rescaling_identity():
         assert phi_hat(big, 1, j, 2) == 2.0 * phi_hat(small, 1, j, 4)
 
 
+def test_phi_hat_rejects_non_integer_inputs():
+    # q follows WaveSet's rule: 1.5 must not be read as 1, True not as 1,
+    # and 2^63 must not become a uint64 argument
+    mesh = uniform_mesh(2, 2, 2)
+    bad = [(0, (0, 0), (1.5, 0)), (0, (0, 0), (True, 0)), (0, (0, 0), (2 ** 63, 0)),
+           (0, (0, 0), (np.float64(1.0), 0)), (True, (0, 0), (1, 0)),
+           (1.0, (0, 0), (1, 0)), (0, (0, 1.0), (1, 0)), (0, (np.True_, 0), (1, 0))]
+    for k, j, q in bad:
+        with pytest.raises(ValueError):
+            phi_hat(mesh, k, j, q)
+    with pytest.raises(IndexError):
+        phi_hat(mesh, 4, (0, 0), (1, 0))
+    # numpy integers are integers
+    assert phi_hat(mesh, np.int64(1), (np.int32(2), 0), (np.int64(-3), 1)) == \
+        phi_hat(mesh, 1, (2, 0), (-3, 1))
+
+
 def test_matches_quadrature_oracle_1d_nonuniform():
     mesh = refine(uniform_mesh(1, 3, 4), [1])
     rng = np.random.default_rng(41)
