@@ -434,21 +434,21 @@ class _Groups:
             else:
                 p = np.searchsorted(first, firsts[s + 1])
                 counts = np.diff(np.append(p, first.size))
-                cls = np.argsort(counts, kind="stable")
-                c = counts[cls]
+                by_size = np.argsort(counts, kind="stable")
+                size = counts[by_size]
                 # item storage order: groups by size, each group's run of items
-                perm = np.repeat(p[cls] - np.cumsum(c) + c, c) + np.arange(first.size)
+                perm = np.repeat(p[by_size] - np.cumsum(size) + size, size) + np.arange(first.size)
                 if s == 0:
                     pick = elems[perm]
                 else:  # the previous stage stored its groups in the order ``rows``
                     pick = np.argsort(rows)[perm]
                     if np.array_equal(pick, np.arange(pick.size)):
                         pick = None
-                g = np.append(np.flatnonzero(np.diff(c)) + 1, c.size)
-                i = np.cumsum(c)[g - 1]
+                g = np.append(np.flatnonzero(np.diff(size)) + 1, size.size)
+                i = np.cumsum(size)[g - 1]
                 runs = list(zip([0] + g[:-1].tolist(), g.tolist(), [0] + i[:-1].tolist(),
                                 i.tolist()))
-                rows = cls
+                rows = by_size
             stages.append((pick, elems[first[perm]], runs))
         return stages
 
