@@ -279,7 +279,7 @@ import hashlib
 import numpy as np
 from semfourier.cubature import TrigGrid, cubature_transform
 from semfourier.gll import gll_rule, legendre_coeffs
-from semfourier.mesh import Mesh, NodalField, refine, uniform_mesh
+from semfourier.mesh import NodalField, refine, uniform_mesh
 from semfourier.transform import WaveSet, build_plan, transform
 mesh = refine(uniform_mesh(3, 4, 5), [0, 9, 30, 63])
 rule = gll_rule(5)
