@@ -307,10 +307,9 @@ def _contract_product(values, factors, weight, folds, m, groups):
     order of every sum is fixed by the grouping and by ``_VALUE_BLOCK``,
     and BLAS threads split a matmul by its output, not by its sums, so the
     result does not depend on the thread count. The real total is then
-    unfolded one axis at a
-    time into the complex grid of signed values, u_hat = E + i s O from
-    the Re rows E and the Im rows O, which gives u_hat(-q) = conj u_hat(q)
-    exactly for real values.
+    unfolded one axis at a time into the complex grid of signed values,
+    u_hat = E + i s O from the Re rows E and the Im rows O, which gives
+    u_hat(-q) = conj u_hat(q) exactly for real values.
     """
     K, _, C = values.shape
     if np.iscomplexobj(values):
@@ -465,7 +464,7 @@ def _unfold(grid, axis, e, o, s):
 def _contract_rows(values, factors, weight, folds, m):
     """``contract_waves`` one wave at a time from its phi_hat rows, over
     element blocks of _VALUE_BLOCK // n^d whose sums are added in block
-    order, so as in ``_contract_product`` no BLAS call reduces over elements."""
+    order, so no BLAS call reduces over elements."""
     K, N, C = values.shape
     B = max(1, _VALUE_BLOCK // N)
     out = np.zeros((len(m), C), dtype=complex)
