@@ -327,7 +327,7 @@ def _contract_product(values, factors, weight, folds, m, groups):
     for stages in groups.schedule(item):
         total += _contract_block(values, factors, weight, stages, R)
     # axes (c, r_d .. r_1) -> (r_d .. r_1, c)
-    grid = np.moveaxis(total.reshape([C] + sizes[::-1]), 0, -1)
+    grid = total.reshape([C] + sizes[::-1]).transpose(tuple(range(1, d + 1)) + (0,))
     for t, (_, e, o, s) in enumerate(folds):
         grid = _unfold(grid, d - 1 - t, e, o, s)
     return grid[tuple(m[:, ::-1].T)]
@@ -407,6 +407,11 @@ class _Groups:
         groups, as many as fit 2 _VALUE_BLOCK values of the largest stage
         array of each, and at least one."""
         K = self.order.size
+        # every stage's items at once bound the sum of the groups' footprints
+        if sum(k * i for k, i in zip([K] + [s.size for s in self.starts], item)) \
+                <= 2 * _VALUE_BLOCK:
+            yield 0, K
+            return
         tops = self.starts[-1] if self.starts else np.arange(K)
         bounds = np.append(tops, K)
         foot = np.zeros(tops.size, dtype=np.int64)
