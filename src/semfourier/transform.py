@@ -4,27 +4,28 @@ For a degree-P field on an axis-aligned box mesh of [-pi, pi]^d, the
 global Fourier coefficient at integer wavevector q of the cardinal basis
 function through node j of element k is a product over axes,
 
-    phi_hat[j,k,q] = |det h_k| / pi^d * prod_t F_t[k, q_t, j_t],
-    F_t[k, q_t, j] = e^{-i q_t a_{k,t}} sum_p c[j, p] i^{-p} B_p(q_t h_{k,t}),
+    phi_hat[j,k,q] = |det h_k| / pi^d * prod_t F_t[index[k, t], q_t, j_t],
+    F_t[i, q_t, j] = e^{-i q_t a_i} sum_p c[j, p] i^{-p} B_p(q_t h_i),
 
-with c the Legendre coefficients of the cardinal interpolants and B_p the
-spherical Bessel column. The parity B_p(-r) = (-1)^p B_p(r) and the phase
-give F_t[k, -q_t, j] = conj F_t[k, q_t, j] exactly, so a TransformPlan
-keeps one real table per axis, folded over the distinct |q_t| of its wave
-set: the rows Re F_t, then Im F_t for |q_t| > 0. It is built from the
-mesh's (K, d) geometry arrays; on exact meshes the Bessel arguments are
-the integers |q_t| H[k, t] over one denominator, so repeated arguments are
-recognized exactly and share one column. ``contract_waves`` sums
-phi_hat * u over element blocks of bounded memory in a fixed order, so
-results are reproducible to the bit: by sum factorization over the grid of
-per-axis values for a box or any list dense in that grid, in real
+with c the Legendre coefficients of the cardinal interpolants, B_p the
+spherical Bessel column and (a_i, h_i) the i-th distinct interval of axis
+t, which a TransformPlan's ``groups.index`` numbers for every element: the
+plan keeps one table per axis and interval. The parity B_p(-r) = (-1)^p
+B_p(r) and the phase give F_t[i, -q_t, j] = conj F_t[i, q_t, j] exactly,
+so the tables are real, folded over the distinct |q_t| of the wave set:
+the rows Re F_t, then Im F_t for |q_t| > 0. On exact meshes the Bessel
+arguments are the integers |q_t| H_i over one denominator, so repeated
+arguments are recognized exactly and share one column. ``contract_waves``
+sums phi_hat * u over element blocks of bounded memory in a fixed order,
+so results are reproducible to the bit: by sum factorization over the grid
+of per-axis values for a box or any list dense in that grid, in real
 arithmetic on the folded tables (a spectrum of a real field so computed is
 exactly conjugate-symmetric), and wave by wave from the complex phi_hat
 rows that ``transform(compensated=True)`` also uses for any other list.
 The sum factorization contracts node axis d first. Elements with equal
-intervals on the axes not yet contracted share those axes' tables, so
-each such group (a pencil, then a slab) is summed inside one matmul, and
-the later axes run once per group, not once per element.
+intervals on the axes not yet contracted share those axes' tables, so each
+such group (a pencil, then a slab) is summed inside one matmul, and the
+later axes run once per group, not once per element.
 """
 
 from __future__ import annotations
@@ -202,56 +203,55 @@ def ipow_neg(P: int) -> np.ndarray:
     return cycle[np.arange(P + 1) % 4]
 
 
-def _factor_tables(a: np.ndarray, h: np.ndarray, H, L, u_axes,
-                   table: LegendreCoeffTable):
-    """Folded tables of F_t[k, u, j] = e^{-i u a_{k,t}} sum_p c[j,p] i^{-p} B_p(u h_{k,t}).
+def _factor_tables(mesh: Mesh, index: np.ndarray, u_axes, table: LegendreCoeffTable):
+    """Folded tables of F_t[i, u, j] = e^{-i u a_i} sum_p c[j,p] i^{-p} B_p(u h_i).
 
-    Geometry as ``Mesh`` holds it; u_axes[t] holds the distinct |q_t|
-    ascending. The Bessel keys are the exact integers u H[k, t] (argument
-    key / L * pi, key / L correctly rounded), or the floats u h[k, t] if H
-    is None; one column per distinct key over all axes. Returns the
-    (K, rows_t, P+1) float64 tables of ``fold_table``, the weights
-    |det h_k| / pi^d of shape (K,), and the key count.
+    (a_i, h_i) is the interval of axis t numbered i by ``index[:, t]``
+    (``_Groups.of_mesh``), read from one element that has it; u_axes[t]
+    holds the distinct |q_t| ascending. The Bessel keys are the exact
+    integers u H_i (argument key / L * pi, key / L correctly rounded), or
+    the floats u h_i if the mesh is a float one; one column per distinct
+    key over all axes. Returns the (I_t, rows_t, P+1) float64 tables of
+    ``fold_table`` and the key count.
     """
     P = table.degree
-    g = h if H is None else H
+    reps = [np.unique(col, return_index=True)[1] for col in index.T]
+    g = mesh.h if mesh.H is None else mesh.H
     qmax = max([int(u[-1]) for u in u_axes if u.size] or [0])
     if g.dtype == np.int64 and qmax * int(np.max(np.abs(g))) >= 2 ** 63:
         g = g.astype(object)  # keys past int64 stay exact as Python ints
-    K = g.shape[0]
     distinct, inverse = np.unique(np.concatenate(
-        [np.multiply.outer(g[:, t], u).ravel() for t, u in enumerate(u_axes)]),
+        [np.multiply.outer(g[rep, t], u).ravel() for t, (rep, u) in enumerate(zip(reps, u_axes))]),
         return_inverse=True)
     ip = ipow_neg(P)
     S = np.empty((distinct.size, P + 1), dtype=complex)
     for i, key in enumerate(distinct.tolist()):
-        r = key if H is None else key / L * math.pi
+        r = key if mesh.H is None else key / mesh.L * math.pi
         S[i] = np.einsum("jp,p->j", table.coeffs, ip * bessel_column(r, P))
-    ends = np.cumsum([K * u.size for u in u_axes])[:-1]
+    ends = np.cumsum([rep.size * u.size for rep, u in zip(reps, u_axes)])[:-1]
     tables = []
-    for t, (i, u) in enumerate(zip(np.split(inverse, ends), u_axes)):
-        F = S[i].reshape(K, u.size, P + 1)
-        phase = np.exp(-1j * np.multiply.outer(a[:, t], u))
+    for t, (i, rep, u) in enumerate(zip(np.split(inverse, ends), reps, u_axes)):
+        F = S[i].reshape(rep.size, u.size, P + 1)
+        phase = np.exp(-1j * np.multiply.outer(mesh.a[rep, t], u))
         # phase times row in this order: swapping the factors of a complex
         # product can change its last bit
         np.multiply(phase[:, :, None], F, out=F)
         tables.append(fold_table(F, u))
-    weight = np.prod(np.abs(h), axis=1) / math.pi ** h.shape[1]
-    return tuple(tables), weight, distinct.size
+    return tuple(tables), distinct.size
 
 
 def contract_waves(values: np.ndarray, factors, weight: np.ndarray,
                    waves: WaveSet, *, groups=None) -> np.ndarray:
-    """sum_k weight[k] sum_j prod_t F_t[k, q_t, j_t] values[k, j] per wave q.
+    """sum_k weight[k] sum_j prod_t F_t[index[k, t], q_t, j_t] values[k, j] per wave q.
 
     values has shape (K, n^d, C), axis 1 fastest within a block, real or
     complex; factors[t] is the folded float64 table of F_t over the
     distinct |q_t| of ``waves`` (``fold_table``, ``waves.axis_folds``):
-    shape (K, rows_t, n), rows Re F_t, then Im F_t where |q_t| > 0, with
-    F_t(-q_t) = conj F_t(q_t). ``groups`` is the element grouping of the
-    plan that built the tables (``TransformPlan.groups``); without it each
-    element is its own group until the last axis. Returns shape
-    (len(waves), C) complex, in wave order.
+    shape (I_t, rows_t, n), rows Re F_t, then Im F_t where |q_t| > 0, with
+    F_t(-q_t) = conj F_t(q_t). ``groups`` (``TransformPlan.groups``) maps
+    element k to table index[k, t] and groups elements by those tables;
+    without it the tables are per element and each its own group until the
+    last axis. Returns shape (len(waves), C) complex, in wave order.
 
     Elements are summed in a fixed order, in blocks whose memory
     ``_VALUE_BLOCK`` caps whatever K. ``_contract_product`` contracts the
@@ -269,9 +269,11 @@ def contract_waves(values: np.ndarray, factors, weight: np.ndarray,
     """
     axis_values, m = waves.axis_index
     d, n = len(factors), factors[0].shape[2]
+    if groups is None:
+        groups = _Groups(np.repeat(np.arange(values.shape[0])[:, None], d, axis=1))
     if math.prod(len(v) for v in axis_values) <= len(waves) * n ** (d - 1):
         return _contract_product(values, factors, weight, waves.axis_folds, m, groups)
-    return _contract_rows(values, factors, weight, waves.axis_folds, m)
+    return _contract_rows(values, factors, weight, waves.axis_folds, m, groups.index)
 
 
 # Cap on the complex values one block of either contraction path holds per
@@ -311,7 +313,7 @@ def _contract_product(values, factors, weight, folds, m, groups):
     u_hat = E + i s O from the Re rows E and the Im rows O, which gives
     u_hat(-q) = conj u_hat(q) exactly for real values.
     """
-    K, _, C = values.shape
+    C = values.shape[2]
     if np.iscomplexobj(values):
         both = _contract_product(np.concatenate([values.real, values.imag], axis=2),
                                  factors, weight, folds, m, groups)
@@ -321,8 +323,6 @@ def _contract_product(values, factors, weight, folds, m, groups):
     R = [n ** (d - 1 - s) * C * math.prod(sizes[d - s:]) for s in range(d)]
     # largest per-item array of each stage: its values or its table
     item = tuple(n * max(R[s], sizes[d - 1 - s]) for s in range(d))
-    if groups is None:
-        groups = _Groups(np.arange(K), (np.arange(K),) * (d - 1))
     total = np.zeros((R[-1], sizes[0]))
     for stages in groups.schedule(item):
         total += _contract_block(values, factors, weight, stages, R)
@@ -338,12 +338,12 @@ def _contract_block(values, factors, weight, stages, R):
     ``_Groups.schedule``; returns its (R[d-1], rows_1) total."""
     d, n = len(factors), factors[0].shape[2]
     X = values
-    for s, (pick, reps, runs) in enumerate(stages):
+    for s, (pick, rows, runs) in enumerate(stages):
         if pick is not None:
             X = X.take(pick, axis=0)
-        T = factors[d - 1 - s].transpose(0, 2, 1)[reps]
-        if s == 0:
-            T *= weight[reps, None, None]
+        T = factors[d - 1 - s].transpose(0, 2, 1)[rows]
+        if s == 0:  # the items are the elements ``pick``
+            T *= weight[pick, None, None]
         N, _, r = T.shape
         if s == d - 1:
             return X.reshape(N * n, R[s]).T @ T.reshape(N * n, r)
@@ -356,44 +356,47 @@ def _contract_block(values, factors, weight, stages, R):
 
 
 class _Groups:
-    """The element groups of the grouped contraction.
+    """The elements' tables, and their groups in the grouped contraction.
 
-    ``order`` sorts the elements by their intervals on axes 1..d-1, so that
-    each group is a run of it, and ``starts[s]`` holds the sorted positions
-    where the groups of stage s = 0..d-2 start: runs of equal intervals on
-    axes 1..d-1-s. The top-level groups are those of stage d-2, or the
-    elements in 1D. Block schedules are kept per (item sizes, cap).
+    ``index[k, t]`` numbers element k's table on axis t. ``order`` sorts
+    the elements by their numbers on axes 1..d-1, so that each group is a
+    run of it, and ``starts[s]`` holds the sorted positions where the
+    groups of stage s = 0..d-2 start: runs of equal numbers on axes
+    1..d-1-s. The top-level groups are those of stage d-2, or the elements
+    in 1D. Block schedules are kept per (item sizes, cap).
     """
 
-    def __init__(self, order: np.ndarray, starts: tuple[np.ndarray, ...]):
-        self.order, self.starts, self._schedules = order, starts, {}
+    def __init__(self, index: np.ndarray):
+        K, d = index.shape
+        order = np.lexsort(index.T[d - 2::-1]) if d > 1 else np.arange(K)
+        new, starts = np.arange(K) == 0, []
+        for t in range(d - 1):
+            col = index[order, t]
+            new[1:] |= col[1:] != col[:-1]
+            starts.append(np.flatnonzero(new))
+        for x in [index, order] + starts:
+            x.setflags(write=False)
+        self.index, self.order, self.starts, self._schedules = index, order, tuple(starts[::-1]), {}
 
     @classmethod
     def of_mesh(cls, mesh: Mesh) -> "_Groups":
-        """Groups of equal (A[:, t], H[:, t]) on an exact mesh and of equal
-        bits of (a[:, t], h[:, t]) on a float one: equal tables."""
+        """Number each axis' intervals in ascending order: equal (A, H) on an
+        exact mesh and equal bits of (a, h) on a float one are one table."""
         if mesh.H is None:
             x, y = (np.ascontiguousarray(v).view(np.int64) for v in (mesh.a, mesh.h))
         else:
             x, y = mesh.A, mesh.H
-        keys = [v[:, t] for t in range(mesh.d - 1) for v in (x, y)]
-        order = np.lexsort(keys[::-1]) if keys else np.arange(mesh.K)
-        new = np.zeros(mesh.K, dtype=bool)
-        new[0] = True
-        starts = []
-        for t in range(0, len(keys), 2):
-            for key in keys[t:t + 2]:
-                k = key[order]
-                new[1:] |= k[1:] != k[:-1]
-            starts.append(np.flatnonzero(new))
-        for a in [order] + starts:
-            a.setflags(write=False)
-        return cls(order, tuple(starts[::-1]))
+        index = np.empty((mesh.K, mesh.d), dtype=np.intp)
+        for t in range(mesh.d):
+            _, ix = np.unique(x[:, t], return_inverse=True)
+            _, iy = np.unique(y[:, t], return_inverse=True)
+            _, index[:, t] = np.unique(ix * mesh.K + iy, return_inverse=True)
+        return cls(index)
 
     def schedule(self, item: tuple[int, ...]) -> list:
-        """Per block, per stage, (pick, reps, runs): the rows that put the
+        """Per block, per stage, (pick, rows, runs): the rows that put the
         stage's items in storage order (None if they are in it), the
-        element whose table each item reads, and the (g0, g1, i0, i1) runs
+        table row each item reads, and the (g0, g1, i0, i1) runs
         of groups g0:g1 of one size whose items are i0:i1. The last stage
         has no runs. ``item`` holds the largest per-item array of each
         stage; blocks follow ``_VALUE_BLOCK`` as it is at the call."""
@@ -453,7 +456,7 @@ class _Groups:
                 runs = list(zip([0] + g[:-1].tolist(), g.tolist(), [0] + i[:-1].tolist(),
                                 i.tolist()))
                 rows = by_size
-            stages.append((pick, elems[first[perm]], runs))
+            stages.append((pick, self.index[elems[first[perm]], -1 - s], runs))
         return stages
 
 
@@ -466,7 +469,7 @@ def _unfold(grid, axis, e, o, s):
     return out
 
 
-def _contract_rows(values, factors, weight, folds, m):
+def _contract_rows(values, factors, weight, folds, m, index):
     """``contract_waves`` one wave at a time from its phi_hat rows, over
     element blocks of _VALUE_BLOCK // n^d whose sums are added in block
     order, so no BLAS call reduces over elements."""
@@ -474,17 +477,17 @@ def _contract_rows(values, factors, weight, folds, m):
     B = max(1, _VALUE_BLOCK // N)
     out = np.zeros((len(m), C), dtype=complex)
     for i, lo in product(range(len(m)), range(0, K, B)):
-        rows = _wave_rows(factors, folds, weight, m[i], slice(lo, lo + B))
+        rows = _wave_rows(factors, folds, weight, index, m[i], slice(lo, lo + B))
         out[i] += (rows[:, None, :] @ values[lo:lo + B])[:, 0].sum(axis=0)
     return out
 
 
-def _wave_rows(factors, folds, weight, m, k):
+def _wave_rows(factors, folds, weight, index, m, k):
     """phi_hat rows of the wave with distinct-value indices m for elements
-    k, axis 1 fastest, shape (elements, n^d)."""
-    rows = weight[k, None] * _table_row(factors[0], folds[0], m[0], k)
+    k (tables ``index[k]``), axis 1 fastest, shape (elements, n^d)."""
+    rows = weight[k, None] * _table_row(factors[0], folds[0], m[0], index[k, 0])
     for t in range(1, len(m)):
-        row = _table_row(factors[t], folds[t], m[t], k)
+        row = _table_row(factors[t], folds[t], m[t], index[k, t])
         rows = (row[:, :, None] * rows[:, None, :]).reshape(len(rows), -1)
     return rows
 
@@ -494,15 +497,15 @@ class TransformPlan:
 
     Attributes:
         mesh, rule, table, waves: the inputs the plan was built for.
-        factors: per axis t, the folded (K, rows_t, P+1) float64 table of
-            ``_factor_tables`` over the distinct |q_t| of ``waves``: rows
-            Re F_t, then Im F_t where |q_t| > 0 (``fold_table``); the value
-            at q_t is Re + i sign(q_t) Im, since F_t(-q_t) = conj F_t(q_t).
+        factors: per axis t, the folded (I_t, rows_t, P+1) float64 table of
+            ``_factor_tables`` over its I_t distinct intervals and the
+            distinct |q_t| of ``waves``: rows Re F_t, then Im F_t where
+            |q_t| > 0; the value at q_t is Re + i sign(q_t) Im.
             ``waves.axis_folds`` maps each distinct q_t to its rows.
         weight: |det h_k| / pi^d per element, shape (K,).
-        groups: the elements grouped by their intervals on axes 1..d-1
-            (``_Groups``), for the grouped sum factorization of
-            ``contract_waves``; it keeps each block schedule it is asked for.
+        groups: ``_Groups.of_mesh``: ``index[k, t]`` is element k's table
+            on axis t, and the elements grouped by it on axes 1..d-1 serve
+            ``contract_waves``; it keeps each block schedule asked for.
         n_bessel_args: number of distinct Bessel arguments evaluated.
     """
 
@@ -512,31 +515,21 @@ class TransformPlan:
             raise ValueError("rule/table degree does not match mesh degree")
         if waves.d != mesh.d:
             raise ValueError("wave set dimension does not match mesh")
-        self.mesh = mesh
-        self.rule = rule
-        self.table = table
-        self.waves = waves
-        self.factors, self.weight, self.n_bessel_args = _factor_tables(
-            mesh.a, mesh.h, mesh.H, mesh.L, [u for u, *_ in waves.axis_folds], table)
+        self.mesh, self.rule, self.table, self.waves = mesh, rule, table, waves
         self.groups = _Groups.of_mesh(mesh)
+        self.factors, self.n_bessel_args = _factor_tables(
+            mesh, self.groups.index, [u for u, *_ in waves.axis_folds], table)
+        self.weight = np.prod(np.abs(mesh.h), axis=1) / math.pi ** mesh.d
         for a in self.factors + (self.weight,):
             a.setflags(write=False)
 
-    def basis_coefficient(self, qi: int, k: int, j_flat: int) -> complex:
-        """phi_hat of node j_flat (storage order) of element k at wave qi,
-        by ``_coefficient`` as in ``phi_hat``."""
-        n = self.mesh.P + 1
-        j = [j_flat // n ** t % n for t in range(self.mesh.d)]
-        return _coefficient(self.factors, self.waves.axis_folds, self.weight,
-                            self.waves.axis_index[1][qi], k, j)
 
-
-def _coefficient(factors, folds, weight, m, k, j) -> complex:
-    """weight[k] prod_t F_t[k, q_t, j_t] for the wave with distinct-value
-    indices m, the factors multiplied in axis order after the weight."""
-    return complex(math.prod(
-        [_table_row(F, fold, mt, k)[jt] for F, fold, mt, jt in zip(factors, folds, m, j)],
-        start=complex(weight[k])))
+def _coefficient(plan: TransformPlan, m, k, j) -> complex:
+    """weight[k] prod_t F_t[index[k, t], q_t, j_t] of ``plan`` at the wave
+    with distinct-value indices m, multiplied in axis order after weight."""
+    tables = zip(plan.factors, plan.waves.axis_folds, m, plan.groups.index[k], j)
+    return complex(math.prod([_table_row(F, fold, mt, i)[jt] for F, fold, mt, i, jt in tables],
+                             start=complex(plan.weight[k])))
 
 
 def build_plan(mesh: Mesh, rule: GllRule, table: LegendreCoeffTable,
@@ -554,12 +547,11 @@ def phi_hat(mesh: Mesh, k: int, j, q) -> complex:
         j: node multi-index (j_1, .., j_d), or an int in 1D.
         q: integer wavevector of matching dimension.
 
-    Builds one-element tables from row k of the geometry arrays with the
-    plan's table builder and multiplies them with the plan's product,
-    ``_coefficient``, so values agree bitwise with
-    ``TransformPlan.basis_coefficient``. A q that ``WaveSet.from_list``
-    rejects, or a k or j_t that is not an integer (bools included), raises
-    ValueError; an index out of range raises IndexError.
+    Reads element k's entries of a plan built for the one wave q through
+    the plan's product, ``_coefficient``, so values agree bitwise with
+    every plan's tables. A q that ``WaveSet.from_list`` rejects, or a k or
+    j_t that is not an integer (bools included), raises ValueError; an
+    index out of range raises IndexError.
     """
     d = mesh.d
     j_tup = (j,) if np.isscalar(j) else tuple(j)
@@ -570,12 +562,9 @@ def phi_hat(mesh: Mesh, k: int, j, q) -> complex:
         raise ValueError(f"element index {k!r} or node index {j_tup} is not an integer")
     if not (0 <= k < mesh.K and all(0 <= jt <= mesh.P for jt in j_tup)):
         raise IndexError("element or node index out of range")
-    row = slice(k, k + 1)
-    folds = WaveSet.from_list([q_tup]).axis_folds
-    tables, weight, _ = _factor_tables(
-        mesh.a[row], mesh.h[row], None if mesh.H is None else mesh.H[row], mesh.L,
-        [u for u, *_ in folds], legendre_coeffs(gll_rule(mesh.P)))
-    return _coefficient(tables, folds, weight, [0] * d, 0, j_tup)
+    rule = gll_rule(mesh.P)
+    plan = TransformPlan(mesh, rule, legendre_coeffs(rule), WaveSet.from_list([q_tup]))
+    return _coefficient(plan, [0] * d, k, j_tup)
 
 
 def transform(field: NodalField, plan: TransformPlan,
@@ -598,7 +587,8 @@ def transform(field: NodalField, plan: TransformPlan,
     C = field.values.shape[2]
     out = np.empty((len(plan.waves), C), dtype=complex)
     for qi, m in enumerate(plan.waves.axis_index[1]):
-        rows = _wave_rows(plan.factors, plan.waves.axis_folds, plan.weight, m, slice(None))
+        rows = _wave_rows(plan.factors, plan.waves.axis_folds, plan.weight, plan.groups.index,
+                          m, slice(None))
         prods = (rows[:, :, None] * field.values).reshape(-1, C)
         out[qi] = [complex(math.fsum(p.real), math.fsum(p.imag)) for p in prods.T]
     return Spectrum(plan.waves, out)
@@ -658,7 +648,8 @@ def write_spectrum_csv(spectrum: Spectrum, path, extra_col=None) -> None:
 def read_spectrum_csv(path) -> Spectrum:
     """Read a spectrum CSV produced by ``write_spectrum_csv``; a file without
     rows, with a row whose field count differs from the header's, with a
-    repeated (q, component) row or a missing component fails."""
+    q, component, re or im that does not parse, a re or im that is not
+    finite, a repeated (q, component) row or a missing component fails."""
     with open(path) as fh:
         rows = [(lineno, line.strip()) for lineno, line in enumerate(fh, 1) if line.strip()]
     if len(rows) < 2:
@@ -675,10 +666,16 @@ def read_spectrum_csv(path) -> Spectrum:
         if len(parts) != len(header):
             raise ValueError(f"{path}, line {lineno}: {len(parts)} fields, "
                              f"expected {len(header)}")
-        q, c = tuple(int(parts[t]) for t in range(d)), int(parts[ic])
+        try:
+            q, c = tuple(int(parts[t]) for t in range(d)), int(parts[ic])
+            z = complex(float(parts[ire]), float(parts[iim]))
+            if not np.isfinite(z):
+                raise ValueError("re or im is not finite")
+        except ValueError as exc:
+            raise ValueError(f"{path}, line {lineno}: {exc}") from None
         if c in data.setdefault(q, {}):
             raise ValueError(f"{path}: repeated row for q={q}, component {c}")
-        data[q][c] = complex(float(parts[ire]), float(parts[iim]))
+        data[q][c] = z
     C = max(max(comp) for comp in data.values()) + 1
     for q, comp in data.items():
         if sorted(comp) != list(range(C)):

@@ -104,7 +104,9 @@ def test_box_contraction_memory_is_capped_by_the_block():
     waves = WaveSet.box(3, 8)
     plan = _plan(mesh, waves)
     values = _field(mesh, 1, 67).values
-    peak = _peak_bytes(contract_waves, values, plan.factors, plan.weight, waves)
+    # per-element tables, gathered outside the measured call
+    factors = [F[plan.groups.index[:, t]] for t, F in enumerate(plan.factors)]
+    peak = _peak_bytes(contract_waves, values, factors, plan.weight, waves)
     gather = mesh.K * 17 ** 2 * 4 * 16
     # at most three block intermediates of the larger of the cap and one
     # element's values, plus the summed spectrum, its reordered copy, the
@@ -126,6 +128,14 @@ def _slab_mesh(slabs, across, P):
                   step * (2 * k + 1 - across)], axis=-1).reshape(-1, 3)
     H = np.tile([across, step, step], (len(A), 1))
     return Mesh(3, P, A.tolist(), H.tolist(), L)
+
+
+def test_plan_holds_one_table_per_distinct_interval():
+    # K=8192 elements, but 128 intervals on axis 1 and 8 on axes 2 and 3
+    mesh = _slab_mesh(128, 8, 3)
+    plan = _plan(mesh, WaveSet.box(3, 2))
+    assert mesh.K == 8192
+    assert [F.shape[0] for F in plan.factors] == [128, 8, 8]
 
 
 def test_grouped_contraction_memory_is_capped_by_the_block():
@@ -155,7 +165,9 @@ def test_sparse_contraction_memory_is_capped_by_the_block():
     waves = _sparse_waves(3, 200, 500, 103)
     plan = _plan(mesh, waves)
     values = _field(mesh, 1, 107).values
-    peak = _peak_bytes(contract_waves, values, plan.factors, plan.weight, waves)
+    # per-element tables, gathered outside the measured call
+    factors = [F[plan.groups.index[:, t]] for t, F in enumerate(plan.factors)]
+    peak = _peak_bytes(contract_waves, values, factors, plan.weight, waves)
     # a block's phi_hat rows, the previous axis' rows and the block of
     # values cast to complex, numpy's buffers for the two broadcast factors
     # of the last axis' product, and the result

@@ -62,3 +62,21 @@ def test_names_the_benchmark_tracer_patches_exist():
     # the benchmark reads K from a refined mesh file as its number of rows
     refined = mesh.refine(mesh.uniform_mesh(2, 2, 2), [1])
     assert len(json.loads(mesh.mesh_json(refined))["elements"]) == refined.K == 7
+
+
+def test_benchmark_workloads_run_and_pass_their_checks(tmp_path):
+    # perfbench/workloads.py, loaded read-only: one snapshots_3d job and
+    # one in-process cli_pipeline session must pass the benchmark's own
+    # checks, so a change that would fail the benchmark fails here first
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    snapshots = workloads.Snapshots3D(1, str(tmp_path), dict(os.environ))
+    snapshots.setup()
+    snapshots.prepare_checks()
+    assert snapshots.check(0, snapshots.job(0)) is None
+    session = workloads.CliPipeline(1, str(tmp_path), dict(os.environ))
+    session.prepare_checks()
+    assert session.check(0, session.traced_job(0)) is None

@@ -20,6 +20,7 @@ from semfourier.mesh import (
 from semfourier.transform import (
     Spectrum,
     WaveSet,
+    _coefficient,
     _table_row,
     build_plan,
     ipow_neg,
@@ -103,8 +104,7 @@ def test_plan_and_phi_hat_agree_bitwise():
         qi = rng.integers(len(waves))
         k = rng.integers(mesh.K)
         j1, j2 = rng.integers(4, size=2)
-        j_flat = int(j2 * 4 + j1)
-        a = plan.basis_coefficient(qi, int(k), j_flat)
+        a = _coefficient(plan, waves.axis_index[1][qi], int(k), (int(j1), int(j2)))
         b = phi_hat(mesh, int(k), (int(j1), int(j2)), waves.qs[qi])
         assert a == b  # identical arithmetic, not merely close
 
@@ -344,14 +344,20 @@ def test_spectrum_csv_round_trip(tmp_path):
 
 
 @pytest.mark.parametrize("body,message", [
-    ("", "no spectrum rows"),
-    ("1,0,1,0,1\n1,0,2,0,2\n", "repeated row for q=(1,), component 0"),
-    ("1,0,1,0,1\n1,1,1,0,1\n2,1,1,0,1\n", "q=(2,) lacks some of components 0..1"),
-], ids=["header-only", "repeated", "missing-component"])
+    ("", ": no spectrum rows"),
+    ("1,0,1,0,1\n1,0,2,0,2\n", ": repeated row for q=(1,), component 0"),
+    ("1,0,1,0,1\n1,1,1,0,1\n2,1,1,0,1\n", ": q=(2,) lacks some of components 0..1"),
+    ("1,0,nan,0,1\n", ", line 2: re or im is not finite"),
+    ("1,0,1,-inf,1\n", ", line 2: re or im is not finite"),
+    ("1,0,1,0,1\n2,0,abc,0,1\n", ", line 3: could not convert string to float: 'abc'"),
+    ("1.5,0,1,0,1\n", ", line 2: invalid literal for int() with base 10: '1.5'"),
+    ("1,x,1,0,1\n", ", line 2: invalid literal for int() with base 10: 'x'"),
+], ids=["header-only", "repeated", "missing-component", "nan", "inf", "bad-float", "bad-q",
+        "bad-component"])
 def test_read_spectrum_csv_rejects_malformed_files(tmp_path, body, message):
     path = tmp_path / "spec.csv"
     path.write_text("q1,component,re,im,abs\n" + body)
-    with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+    with pytest.raises(ValueError, match=re.escape(f"{path}{message}")):
         read_spectrum_csv(path)
 
 
@@ -391,8 +397,9 @@ def test_plan_tables_match_per_element_loop_bitwise(mesh, qmax):
     plan = _plan_for(mesh, qmax=qmax)
     for t, q_axis in enumerate(plan.waves.axis_index[0]):
         expect = _axis_table_oracle(mesh, t, q_axis.tolist(), plan.table)
-        # the complex table read back from the folded one
-        got = np.stack([_table_row(plan.factors[t], plan.waves.axis_folds[t], m, slice(None))
+        # the complex table read back from the folded one, per element
+        rows = plan.groups.index[:, t]
+        got = np.stack([_table_row(plan.factors[t], plan.waves.axis_folds[t], m, rows)
                         for m in range(len(q_axis))], axis=1)
         assert np.array_equal(got, expect)
     volume = np.array([float(np.prod(np.abs(mesh.h[k]))) for k in range(mesh.K)]) / math.pi ** mesh.d

@@ -140,8 +140,8 @@ def test_compensated_sum_and_phi_hat_agree_with_plan(case):
     for _ in range(5):
         qi, k = int(rng.integers(len(waves))), int(rng.integers(mesh.K))
         j = [int(v) for v in rng.integers(n, size=mesh.d)]
-        j_flat = sum(jt * n ** t for t, jt in enumerate(j))
-        assert plan.basis_coefficient(qi, k, j_flat) == phi_hat(mesh, k, j, waves.qs[qi])
+        got = T._coefficient(plan, waves.axis_index[1][qi], k, j)
+        assert got == phi_hat(mesh, k, j, waves.qs[qi])
 
 
 @_SETTINGS
@@ -263,9 +263,18 @@ def _interval_key(mesh, k, t):
 
 
 def _assert_groups_are_interval_classes(plan):
-    """Each stage's groups are exactly the classes of elements with equal
-    intervals on its axes, so no two tables that differ share a group."""
+    """Two elements read one table of axis t exactly when their intervals
+    on axis t are equal, on every axis, and each stage's groups are exactly
+    the classes of elements with equal intervals on its axes, so no two
+    tables that differ share a group."""
     mesh, groups = plan.mesh, plan.groups
+    for t in range(mesh.d):
+        tables = {}
+        for k in range(mesh.K):
+            tables.setdefault(_interval_key(mesh, k, t), set()).add(int(groups.index[k, t]))
+        assert all(len(i) == 1 for i in tables.values())
+        assert set().union(*tables.values()) == set(range(len(tables)))
+        assert plan.factors[t].shape[0] == len(tables)
     assert sorted(groups.order.tolist()) == list(range(mesh.K))
     for s, starts in enumerate(groups.starts):
         got = {frozenset(run.tolist()) for run in np.split(groups.order, starts[1:])}
@@ -322,8 +331,9 @@ def _grouped_error(mesh, waves, values, cap):
     if not np.iscomplexobj(values):
         assert got.conjugate_symmetry_error() == 0.0
     comp = transform(field, plan, compensated=True).values
-    size = np.stack([np.abs(T._wave_rows(plan.factors, waves.axis_folds, plan.weight, m,
-                                         slice(None))[:, :, None] * values).sum(axis=(0, 1))
+    size = np.stack([np.abs(T._wave_rows(plan.factors, waves.axis_folds, plan.weight,
+                                         plan.groups.index, m, slice(None))[:, :, None]
+                            * values).sum(axis=(0, 1))
                      for m in waves.axis_index[1]])
     return np.max(np.abs(got.values - comp) / (np.finfo(float).eps * size))
 
