@@ -10,22 +10,23 @@ function through node j of element k is a product over axes,
 with c the Legendre coefficients of the cardinal interpolants, B_p the
 spherical Bessel column and (a_i, h_i) the i-th distinct interval of axis
 t, which a TransformPlan's ``groups.index`` numbers for every element: the
-plan keeps one table per axis and interval. The parity B_p(-r) = (-1)^p
-B_p(r) and the phase give F_t[i, -q_t, j] = conj F_t[i, q_t, j] exactly,
-so the tables are real, folded over the distinct |q_t| of the wave set:
-the rows Re F_t, then Im F_t for |q_t| > 0. On exact meshes the Bessel
-arguments are the integers |q_t| H_i over one denominator, so repeated
-arguments are recognized exactly and share one column. ``contract_waves``
-sums phi_hat * u over element blocks of bounded memory in a fixed order,
-so results are reproducible to the bit: by sum factorization over the grid
-of per-axis values for a box or any list dense in that grid, in real
-arithmetic on the folded tables (a spectrum of a real field so computed is
-exactly conjugate-symmetric), and wave by wave from the complex phi_hat
-rows that ``transform(compensated=True)`` also uses for any other list.
-The sum factorization contracts node axis d first. Elements with equal
-intervals on the axes not yet contracted share those axes' tables, so each
-such group (a pencil, then a slab) is summed inside one matmul, and the
-later axes run once per group, not once per element.
+plan keeps one table per axis and interval. The parity
+B_p(-r) = (-1)^p B_p(r) and the phase give
+F_t[i, -q_t, j] = conj F_t[i, q_t, j] exactly, so the tables are real,
+folded over the distinct |q_t| of the wave set: the rows Re F_t, then Im
+F_t for |q_t| > 0. On exact meshes the Bessel arguments are the integers
+|q_t| H_i over one denominator, so repeated arguments are recognized
+exactly and share one column. ``contract_waves`` sums phi_hat * u over
+element blocks of bounded memory in a fixed order, so results are
+reproducible to the bit: by sum factorization over the grid of per-axis
+values for a box or any list dense in that grid, in real arithmetic on the
+folded tables (a spectrum of a real field so computed is exactly
+conjugate-symmetric), and wave by wave from the complex phi_hat rows that
+``transform(compensated=True)`` also uses for any other list. The sum
+factorization contracts node axis d first. Elements with equal intervals
+on the axes not yet contracted share those axes' tables, so each such
+group (a pencil, then a slab) is summed inside one matmul, and the later
+axes run once per group, not once per element.
 """
 
 from __future__ import annotations
@@ -150,15 +151,15 @@ def fold_table(F: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.concatenate([F.real, F.imag[:, u != 0]], axis=1)
 
 
-def _table_row(F: np.ndarray, fold, m: int, k) -> np.ndarray:
-    """Complex entries F[k, q, :] of the m-th distinct q of ``fold``, read
-    from the folded table F part by part: (Re, s Im) keeps the bits of
-    F(q) = conj F(|q|), signed zeros included, and q = 0 reads (Re, 0.0)."""
+def _table_row(F: np.ndarray, fold, m: int, i) -> np.ndarray:
+    """Complex entries F[i, q, :] of tables i at the m-th distinct q of
+    ``fold``, read from the folded F part by part: (Re, s Im) keeps the bits
+    of F(q) = conj F(|q|), signed zeros included, and q = 0 reads (Re, 0.0)."""
     _, e, o, s = fold
-    row = np.zeros(F[k, 0].shape, dtype=complex)
-    row.real = F[k, e[m]]
+    row = np.zeros(F[i, 0].shape, dtype=complex)
+    row.real = F[i, e[m]]
     if s[m]:
-        np.multiply(F[k, o[m]], s[m], out=row.imag)
+        np.multiply(F[i, o[m]], s[m], out=row.imag)
     return row
 
 
@@ -362,21 +363,23 @@ class _Groups:
     the elements by their numbers on axes 1..d-1, so that each group is a
     run of it, and ``starts[s]`` holds the sorted positions where the
     groups of stage s = 0..d-2 start: runs of equal numbers on axes
-    1..d-1-s. The top-level groups are those of stage d-2, or the elements
-    in 1D. Block schedules are kept per (item sizes, cap).
+    1..d-1-s; the top-level groups are those of stage d-2 (elements in 1D).
     """
 
     def __init__(self, index: np.ndarray):
         K, d = index.shape
         order = np.lexsort(index.T[d - 2::-1]) if d > 1 else np.arange(K)
-        new, starts = np.arange(K) == 0, []
+        new = np.zeros(K, dtype=bool)
+        new[0] = True
+        starts = []
         for t in range(d - 1):
             col = index[order, t]
             new[1:] |= col[1:] != col[:-1]
             starts.append(np.flatnonzero(new))
         for x in [index, order] + starts:
             x.setflags(write=False)
-        self.index, self.order, self.starts, self._schedules = index, order, tuple(starts[::-1]), {}
+        self.index, self.order, self.starts = index, order, tuple(starts[::-1])
+        self._schedules = {}
 
     @classmethod
     def of_mesh(cls, mesh: Mesh) -> "_Groups":
