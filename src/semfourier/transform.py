@@ -18,15 +18,14 @@ F_t for |q_t| > 0. On exact meshes the Bessel arguments are the integers
 |q_t| H_i over one denominator, so repeated arguments are recognized
 exactly and share one column. ``contract_waves`` sums phi_hat * u over
 element blocks of bounded memory in a fixed order, so results are
-reproducible to the bit: by sum factorization over the grid of per-axis
-values for a box or any list dense in that grid, in real arithmetic on the
-folded tables (a spectrum of a real field so computed is exactly
-conjugate-symmetric), and wave by wave from the complex phi_hat rows that
-``transform(compensated=True)`` also uses for any other list. The sum
-factorization contracts node axis d first. Elements with equal intervals
-on the axes not yet contracted share those axes' tables, so each such
-group (a pencil, then a slab) is summed inside one matmul, and the later
-axes run once per group, not once per element.
+reproducible to the bit, by sum factorization in real arithmetic on the
+folded tables: once over the grid of per-axis values for a box or any
+list dense in that grid, and once per wave over its one-point grid for
+any other list. The sum factorization contracts node axis d first.
+Elements with equal intervals on the axes not yet contracted share those
+axes' tables, so each such group (a pencil, then a slab) is summed inside
+one matmul, and the later axes run once per group, not once per element.
+A spectrum of a real field so computed is exactly conjugate-symmetric.
 """
 
 from __future__ import annotations
@@ -186,10 +185,10 @@ class Spectrum:
         """Max |u_hat(-q) - conj(u_hat(q))| over pairs present in the set,
         each -q looked up in the wave set's index; 0.0 if there is none.
 
-        Exactly 0 for spectra of real fields from the product path of
-        ``contract_waves`` (every box), which folds F(-q) = conj F(q) into
-        its arithmetic; the rows path and ``compensated=True`` compute each
-        wave on its own and leave rounding-level residuals.
+        Exactly 0 for spectra of real fields from ``transform``, with or
+        without ``compensated=True``: both read F(-q) as the exact conj
+        F(q) of the folded tables, and the arithmetic of -q is that of q
+        with the sign of every imaginary part flipped.
         """
         index = self.waves._positions
         j = np.array([index.get(tuple(-c for c in q), -1) for q in self.waves.qs], dtype=int)
@@ -254,58 +253,69 @@ def contract_waves(values: np.ndarray, factors, weight: np.ndarray,
     without it the tables are per element and each its own group until the
     last axis. Returns shape (len(waves), C) complex, in wave order.
 
-    Elements are summed in a fixed order, in blocks whose memory
-    ``_VALUE_BLOCK`` caps whatever K. ``_contract_product`` contracts the
-    real values against the real tables, one axis at a time with each
-    group's members summed inside one matmul, then unfolds the grid of
-    per-axis values. Ungrouped, its last axis dominates, at
-    prod_t rows_t n C real multiply-adds per element, a quarter of the
-    complex product over the signed values. ``_contract_rows`` costs at
-    least len(waves) n^d C complex ones. So a set with
-    ``prod_t m_t <= len(waves) n^(d-1)`` (m_t distinct q_t) takes the
-    product, as every box and full product does, and any other list the
-    rows. Groups only make the product cheaper, so with them this
-    crossover sends some lists to the rows that the product would do
-    faster.
+    Complex values go through as 2C real components, split once.
+    ``_contract_product`` contracts them against the real tables over a
+    grid of per-axis values. Ungrouped, the grid of all per-axis values
+    costs most in its last axis, prod_t rows_t n C real multiply-adds per
+    element, and a wave's one-point grid (its Re and Im rows of each
+    table, one row where q_t = 0) in its first, rows_d n^d C. So a set
+    with ``prod_t m_t <= len(waves) n^(d-1)`` (m_t distinct q_t) runs once
+    over the grid of all its per-axis values, as every box and full
+    product does, and any other list once per wave.
     """
     axis_values, m = waves.axis_index
-    d, n = len(factors), factors[0].shape[2]
+    d, n, C = len(factors), factors[0].shape[2], values.shape[2]
     if groups is None:
         groups = _Groups(np.repeat(np.arange(values.shape[0])[:, None], d, axis=1))
+    split = np.iscomplexobj(values)
+    if split:
+        values = np.concatenate([values.real, values.imag], axis=2)
     if math.prod(len(v) for v in axis_values) <= len(waves) * n ** (d - 1):
-        return _contract_product(values, factors, weight, waves.axis_folds, m, groups)
-    return _contract_rows(values, factors, weight, waves.axis_folds, m, groups.index)
+        out = _contract_product(values, factors, weight, waves.axis_folds, m, groups)
+    else:
+        out = np.empty((len(waves), values.shape[2]), dtype=complex)
+        origin = np.zeros((1, d), dtype=np.intp)
+        for w, wave in enumerate(m):
+            tables, folds = [], []
+            for F, (_, e, o, s), mt in zip(factors, waves.axis_folds, wave):
+                i, j = e[mt], o[mt]  # rows Re and Im, i < j
+                tables.append(F[:, i:j + 1:j - i] if s[mt] else F[:, i:i + 1])
+                folds.append(_ONE_VALUE[s[mt]])
+            out[w] = _contract_product(values, tables, weight, folds, origin, groups)[0]
+    return out[:, :C] + 1j * out[:, C:] if split else out
 
 
-# Cap on the complex values one block of either contraction path holds per
-# intermediate array (twice as many float64 values, the same bytes). A
-# block of the product path holds whole top-level groups of ``_Groups``,
-# at least one, so a group above the cap is a block of its own; a block of
-# the rows path holds at least one element. Each block costs about 25 us
-# of numpy calls: on the 3D hanging-node benchmark mesh (K=176, P=5, C=3,
-# 12 slabs) the transform took 0.50 ms at 2^13 (9 blocks), 0.40 ms at 2^14
-# (5 blocks) and 0.31 ms at 2^15 (2 blocks) or unblocked. 2^14 (256 KiB)
-# is the largest power of two at which the bound of the box memory test in
+# ``_fold`` of one value of sign s, by s: row 0 Re, row 1 Im if s != 0
+_ONE_VALUE = {s: _fold(np.array([s])) for s in (-1, 0, 1)}
+
+# Cap on the complex values one block holds per intermediate array (twice
+# as many float64 values, the same bytes). A block holds whole top-level
+# groups of ``_Groups``, at least one, so a group above the cap is a block
+# of its own. Each block costs about 25 us of numpy calls: on the 3D
+# hanging-node benchmark mesh (K=176, P=5, C=3, 12 slabs) the transform
+# took 0.50 ms at 2^13 (9 blocks), 0.40 ms at 2^14 (5 blocks) and 0.31 ms
+# at 2^15 (2 blocks) or unblocked. 2^14 (256 KiB) is the largest power of
+# two at which the bound of the box memory test in
 # tests/test_contraction.py stays 8x below the gather it guards against.
 _VALUE_BLOCK = 1 << 14
 
 
 def _contract_product(values, factors, weight, folds, m, groups):
-    """``contract_waves`` over the whole product of the per-axis values,
-    by sum factorization over groups of elements.
+    """``contract_waves`` of real values over the grid of the per-axis
+    values of ``folds``, by sum factorization over groups of elements;
+    returns the grid's waves m.
 
-    Complex values go through as 2C real components. Stage s = 0..d-1
-    contracts node axis d - s of its items, which are the elements at
-    stage 0 and the groups of stage s - 1 after it; an item is n rows of
-    R[s] values, node axis d - s first. The stage's groups are the items
-    with equal intervals on axes 1..d-1-s (``_Groups``): pencils, then
-    slabs, and at the last stage one group of all items. Items of a group
-    share that axis' table, so the group's sum is one matmul,
-    [X_1; X_2; ..]^T @ [F(1)^T; F(2)^T; ..], of its members' stacked
-    values against their stacked tables, weighted by |det h_k| / pi^d at
-    stage 0; groups of one size go through one batched matmul, and each
-    sum comes out as an item of the next stage, node axis d - s - 1 first,
-    without a transposing copy. Blocks of whole top-level groups are
+    Stage s = 0..d-1 contracts node axis d - s of its items, which are the
+    elements at stage 0 and the groups of stage s - 1 after it; an item is
+    n rows of R[s] values, node axis d - s first. The stage's groups are
+    the items with equal intervals on axes 1..d-1-s (``_Groups``):
+    pencils, then slabs, and at the last stage one group of all items.
+    Items of a group share that axis' table, so the group's sum is one
+    matmul, [X_1; X_2; ..]^T @ [F(1)^T; F(2)^T; ..], of its members'
+    stacked values against their stacked tables, weighted by
+    |det h_k| / pi^d at stage 0; groups of one size go through one batched
+    matmul, and each sum comes out as an item of the next stage, node axis
+    d - s - 1 first, without a transposing copy. Blocks of whole top-level groups are
     summed in block order, so a group's sum never spans two blocks. The
     order of every sum is fixed by the grouping and by ``_VALUE_BLOCK``,
     and BLAS threads split a matmul by its output, not by its sums, so the
@@ -315,10 +325,6 @@ def _contract_product(values, factors, weight, folds, m, groups):
     u_hat(-q) = conj u_hat(q) exactly for real values.
     """
     C = values.shape[2]
-    if np.iscomplexobj(values):
-        both = _contract_product(np.concatenate([values.real, values.imag], axis=2),
-                                 factors, weight, folds, m, groups)
-        return both[:, :C] + 1j * both[:, C:]
     d, n = len(factors), factors[0].shape[2]
     sizes = [F.shape[1] for F in factors]
     R = [n ** (d - 1 - s) * C * math.prod(sizes[d - s:]) for s in range(d)]
@@ -413,11 +419,6 @@ class _Groups:
         groups, as many as fit 2 _VALUE_BLOCK values of the largest stage
         array of each, and at least one."""
         K = self.order.size
-        # every stage's items at once bound the sum of the groups' footprints
-        if sum(k * i for k, i in zip([K] + [s.size for s in self.starts], item)) \
-                <= 2 * _VALUE_BLOCK:
-            yield 0, K
-            return
         tops = self.starts[-1] if self.starts else np.arange(K)
         bounds = np.append(tops, K)
         foot = np.zeros(tops.size, dtype=np.int64)
@@ -469,19 +470,6 @@ def _unfold(grid, axis, e, o, s):
     unit = (1j * s).reshape((-1,) + (1,) * (grid.ndim - 1 - axis))
     out = grid.take(o, axis=axis) * unit
     out += grid.take(e, axis=axis)
-    return out
-
-
-def _contract_rows(values, factors, weight, folds, m, index):
-    """``contract_waves`` one wave at a time from its phi_hat rows, over
-    element blocks of _VALUE_BLOCK // n^d whose sums are added in block
-    order, so no BLAS call reduces over elements."""
-    K, N, C = values.shape
-    B = max(1, _VALUE_BLOCK // N)
-    out = np.zeros((len(m), C), dtype=complex)
-    for i, lo in product(range(len(m)), range(0, K, B)):
-        rows = _wave_rows(factors, folds, weight, index, m[i], slice(lo, lo + B))
-        out[i] += (rows[:, None, :] @ values[lo:lo + B])[:, 0].sum(axis=0)
     return out
 
 

@@ -59,22 +59,32 @@ def _peak_bytes(fn, *args):
         tracemalloc.stop()
 
 
-def _refuse(*args):
-    raise AssertionError("the other contraction path was taken")
+def _count_products(monkeypatch):
+    """A list that grows by one entry per ``_contract_product`` call."""
+    calls, product = [], T._contract_product
+
+    def counted(*args):
+        calls.append(args)
+        return product(*args)
+
+    monkeypatch.setattr(T, "_contract_product", counted)
+    return calls
 
 
 @pytest.mark.parametrize("C", [1, 3])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_boxes_take_the_product_and_sparse_lists_the_rows(d, C, monkeypatch):
+    # a box is one product over its grid; a sparse list in 2D and 3D is one
+    # product per wave, over that wave's rows; in 1D every list is the
+    # product of its own values
     mesh = refine(uniform_mesh(d, 2, 2), [1])
     field = _field(mesh, C, 97)
-    with monkeypatch.context() as patch:
-        patch.setattr(T, "_contract_rows", _refuse)
-        assert transform(field, _plan(mesh, WaveSet.box(d, 3))).values.shape == (7 ** d, C)
-    # in 1D every list is the product of its own values
-    monkeypatch.setattr(T, "_contract_rows" if d == 1 else "_contract_product", _refuse)
+    calls = _count_products(monkeypatch)
+    assert transform(field, _plan(mesh, WaveSet.box(d, 3))).values.shape == (7 ** d, C)
+    assert len(calls) == 1
     waves = _sparse_waves(d, 5, 500, 101)
     assert transform(field, _plan(mesh, waves)).values.shape == (5, C)
+    assert len(calls) == 1 + (1 if d == 1 else len(waves))
 
 
 @pytest.mark.parametrize("mesh,qmax", [
@@ -168,24 +178,23 @@ def test_sparse_contraction_memory_is_capped_by_the_block():
     # per-element tables, gathered outside the measured call
     factors = [F[plan.groups.index[:, t]] for t, F in enumerate(plan.factors)]
     peak = _peak_bytes(contract_waves, values, factors, plan.weight, waves)
-    # a block's phi_hat rows, the previous axis' rows and the block of
-    # values cast to complex, numpy's buffers for the two broadcast factors
-    # of the last axis' product, and the result
+    # one product per wave: at most three block intermediates of the larger
+    # of the cap and one element's values, plus the result
     block = max(T._VALUE_BLOCK, mesh.nodes_per_element) * 16
-    bound = 3 * block + 2 * np.getbufsize() * 16 + 4 * len(waves) * 16
+    bound = 3 * block + 4 * len(waves) * 16
     gather = mesh.K * len(plan.waves.axis_index[0][0]) * mesh.nodes_per_element * 8
     assert peak <= bound
     assert gather >= 8 * bound
 
 
-def test_rows_path_matches_compensated_sum(monkeypatch):
-    # 3D, K=64, P=5, 300 random waves in [-500, 500]^3; the rows path
-    # measured 4.1 eps of the largest coefficient over three such lists
+def test_rows_path_matches_compensated_sum():
+    # 3D, K=64, P=5, 300 random waves in [-500, 500]^3, one product per
+    # wave; it measured 2.9 eps of the largest coefficient over three such
+    # lists
     mesh = uniform_mesh(3, 4, 5)
     plan = _plan(mesh, _sparse_waves(3, 300, 500, 109))
     field = _field(mesh, 2, 113)
     comp = transform(field, plan, compensated=True).values
-    monkeypatch.setattr(T, "_contract_product", _refuse)
     rows = transform(field, plan).values
     assert np.max(np.abs(rows - comp)) <= 6 * EPS * np.max(np.abs(comp))
 
@@ -209,7 +218,7 @@ _HANGING = {1: refine(uniform_mesh(1, 5, 4), [0, 3]),
     WaveSet.box(3, 3),
     _product_grid(range(0, 5), range(-5, -1), range(2, 4)),
 ], ids=["box1", "negative1", "box2", "one-sided2", "box3", "one-sided3"])
-def test_product_path_matches_compensated_sum(waves, C, monkeypatch):
+def test_product_path_matches_compensated_sum(waves, C):
     # the folded real contraction against the exactly rounded sum, on boxes
     # and on grids where some |q_t| occurs only as a negative q_t; five
     # fields per case measured at most 2.4 eps of the largest coefficient
@@ -217,17 +226,15 @@ def test_product_path_matches_compensated_sum(waves, C, monkeypatch):
     plan = _plan(mesh, waves)
     field = _field(mesh, C, 127)
     comp = transform(field, plan, compensated=True).values
-    monkeypatch.setattr(T, "_contract_rows", _refuse)
     got = transform(field, plan).values
     assert np.max(np.abs(got - comp)) <= 6 * EPS * np.max(np.abs(comp))
 
 
-@pytest.mark.parametrize("waves,other", [
-    (WaveSet.box(3, 3), "_contract_rows"),
-    (_sparse_waves(3, 20, 6, 131), "_contract_product"),
+@pytest.mark.parametrize("waves", [
+    WaveSet.box(3, 3), _sparse_waves(3, 20, 6, 131),
 ], ids=["product", "rows"])
-def test_complex_field_transforms_by_parts(waves, other, monkeypatch):
-    monkeypatch.setattr(T, other, _refuse)
+def test_complex_field_transforms_by_parts(waves):
+    # a box is one product over its grid, the list one product per wave
     mesh = _HANGING[3]
     plan = _plan(mesh, waves)
     re, im = _field(mesh, 2, 137).values, _field(mesh, 2, 139).values
@@ -238,10 +245,18 @@ def test_complex_field_transforms_by_parts(waves, other, monkeypatch):
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
-def test_product_path_spectra_of_real_fields_are_exactly_symmetric(d):
+def test_spectra_of_real_fields_are_exactly_symmetric(d):
+    # a box (one product over its grid), a list closed under q -> -q (one
+    # product per wave in 2D and 3D) and the compensated sum of each
     mesh = _HANGING[d]
-    spec = transform(_field(mesh, 3, 149), _plan(mesh, WaveSet.box(d, 4)))
-    assert spec.conjugate_symmetry_error() == 0.0
+    field = _field(mesh, 3, 149)
+    qs = _sparse_waves(d, 12, 50, 151).qs
+    pm = WaveSet(d, tuple(dict.fromkeys(qs + tuple(tuple(-c for c in q) for q in qs))))
+    for waves in (WaveSet.box(d, 4), pm):
+        plan = _plan(mesh, waves)
+        for compensated in (False, True):
+            spec = transform(field, plan, compensated=compensated)
+            assert spec.conjugate_symmetry_error() == 0.0
 
 
 def _compensated_cases():

@@ -295,11 +295,23 @@ def _one_sided_grid(draw, d):
     return WaveSet(d, tuple(itertools.product(*axes)))
 
 
+def _sparse_list(draw, d, n):
+    """Distinct random q in [-50, 50]^d, with the negatives of some, that
+    the crossover of ``contract_waves`` sends one wave at a time."""
+    q = st.tuples(*[st.integers(-50, 50)] * d)
+    qs = draw(st.lists(q, min_size=n + 1, max_size=n + 6, unique=True))
+    qs += [tuple(-c for c in v) for v in draw(st.lists(st.sampled_from(qs), unique=True))]
+    waves = WaveSet(d, tuple(dict.fromkeys(qs)))
+    assume(math.prod(len(v) for v in waves.axis_index[0]) > len(waves) * n ** (d - 1))
+    return waves
+
+
 @st.composite
 def _grouped_cases(draw):
     """(mesh, waves, values, cap): a dyadic mesh, its float copy or a copy
-    with its elements permuted; a box or a one-sided product grid; C = 1
-    or 3 real or complex values; the default block cap or a cap of 1."""
+    with its elements permuted; a box, a one-sided product grid or, for
+    d >= 2, a sparse list taken one wave at a time; C = 1 or 3 real or
+    complex values; the default block cap or a cap of 1."""
     mesh, box, rng = draw(_cases())
     copy = draw(st.sampled_from(("exact", "float", "permuted")))
     if copy == "float":
@@ -307,7 +319,13 @@ def _grouped_cases(draw):
     elif copy == "permuted":
         perm = draw(st.permutations(range(mesh.K)))
         mesh = Mesh(mesh.d, mesh.P, mesh.A[perm], mesh.H[perm], mesh.L)
-    waves = box if draw(st.booleans()) else _one_sided_grid(draw, mesh.d)
+    choice = draw(st.sampled_from(("box", "grid", "sparse")[:3 if mesh.d > 1 else 2]))
+    if choice == "box":
+        waves = box
+    elif choice == "grid":
+        waves = _one_sided_grid(draw, mesh.d)
+    else:
+        waves = _sparse_list(draw, mesh.d, mesh.P + 1)
     shape = (mesh.K, mesh.nodes_per_element, draw(st.sampled_from((1, 3))))
     values = rng.uniform(-1, 1, shape)
     if draw(st.booleans()):
