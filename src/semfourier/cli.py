@@ -144,6 +144,7 @@ _EXPR_BINOPS = {
     ast.Div: operator.truediv, ast.Pow: operator.pow, ast.Mod: operator.mod,
 }
 _EXPR_UNARYOPS = {ast.UAdd: operator.pos, ast.USub: operator.neg}
+_EXPR_TOO_DEEP = "--expr is nested too deeply for Python's recursion limit"
 
 
 def _compile_expr(text: str, variables) -> Callable[[dict], object]:
@@ -155,7 +156,10 @@ def _compile_expr(text: str, variables) -> Callable[[dict], object]:
     ``ValueError`` naming the offending node. Nothing is passed to
     ``eval``: the returned function walks the checked tree. Constants are
     float64, so overflow and division by zero give inf or nan, which
-    ``sample_field`` rejects, instead of exceptions or huge integers.
+    ``sample_field`` rejects, instead of exceptions or huge integers. An
+    expression nested past the recursion limit, as a sum of a thousand
+    terms is, raises ``ValueError`` whether parsing, building or
+    evaluating it hits the limit.
     """
     def build(node):
         if isinstance(node, ast.Constant) and type(node.value) in (int, float):
@@ -189,10 +193,11 @@ def _compile_expr(text: str, variables) -> Callable[[dict], object]:
         raise ValueError(f"{what} is not allowed in --expr {text!r}")
 
     try:
-        tree = ast.parse(text.strip(), mode="eval")
+        return build(ast.parse(text.strip(), mode="eval").body)
     except SyntaxError as exc:
         raise ValueError(f"cannot parse --expr {text!r}: {exc.msg}") from None
-    return build(tree.body)
+    except (RecursionError, MemoryError):  # CPython's parser overflows on x**x**.. as MemoryError
+        raise ValueError(_EXPR_TOO_DEEP) from None
 
 
 def _expr_sampler(exprs: list[str], d: int):
@@ -204,7 +209,10 @@ def _expr_sampler(exprs: list[str], d: int):
 
     def func(X: np.ndarray) -> np.ndarray:
         env = {name: X[:, t] for name, t in variables.items()}
-        return np.column_stack([np.broadcast_to(f(env), (X.shape[0],)) for f in funcs])
+        try:
+            return np.column_stack([np.broadcast_to(f(env), (X.shape[0],)) for f in funcs])
+        except RecursionError:
+            raise ValueError(_EXPR_TOO_DEEP) from None
 
     return func
 

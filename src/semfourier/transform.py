@@ -203,35 +203,34 @@ def ipow_neg(P: int) -> np.ndarray:
     return cycle[np.arange(P + 1) % 4]
 
 
-def _factor_tables(mesh: Mesh, index: np.ndarray, u_axes, table: LegendreCoeffTable):
+def _factor_tables(mesh: Mesh, reps, u_axes, table: LegendreCoeffTable):
     """Folded tables of F_t[i, u, j] = e^{-i u a_i} sum_p c[j,p] i^{-p} B_p(u h_i).
 
-    (a_i, h_i) is the interval of axis t numbered i by ``index[:, t]``
-    (``_Groups.of_mesh``), read from one element that has it; u_axes[t]
-    holds the distinct |q_t| ascending. The Bessel keys are the exact
-    integers u H_i (argument key / L * pi, key / L correctly rounded), or
+    (a_i, h_i) is the interval of axis t of element reps[t][i], one element
+    per table; u_axes[t] holds the distinct |q_t| ascending. The Bessel
+    keys are the exact integers u H_i (argument key / L * pi, key / L
+    correctly rounded), as Python ints where they reach int64's limit, or
     the floats u h_i if the mesh is a float one; one column per distinct
-    key over all axes. Returns the (I_t, rows_t, P+1) float64 tables of
-    ``fold_table`` and the key count.
+    key over all axes. Returns the (len(reps[t]), rows_t, P+1) float64
+    tables of ``fold_table`` and the key count.
     """
     P = table.degree
-    reps = [np.unique(col, return_index=True)[1] for col in index.T]
     g = mesh.h if mesh.H is None else mesh.H
+    cols = [g[rep, t] for t, rep in enumerate(reps)]
     qmax = max([int(u[-1]) for u in u_axes if u.size] or [0])
-    if g.dtype == np.int64 and qmax * int(np.max(np.abs(g))) >= 2 ** 63:
-        g = g.astype(object)  # keys past int64 stay exact as Python ints
+    if g.dtype == np.int64 and qmax * max(int(np.max(np.abs(c))) for c in cols) >= 2 ** 63:
+        cols = [c.astype(object) for c in cols]  # keys past int64 stay exact as Python ints
     distinct, inverse = np.unique(np.concatenate(
-        [np.multiply.outer(g[rep, t], u).ravel() for t, (rep, u) in enumerate(zip(reps, u_axes))]),
-        return_inverse=True)
+        [np.multiply.outer(c, u).ravel() for c, u in zip(cols, u_axes)]), return_inverse=True)
     ip = ipow_neg(P)
     S = np.empty((distinct.size, P + 1), dtype=complex)
     for i, key in enumerate(distinct.tolist()):
         r = key if mesh.H is None else key / mesh.L * math.pi
         S[i] = np.einsum("jp,p->j", table.coeffs, ip * bessel_column(r, P))
-    ends = np.cumsum([rep.size * u.size for rep, u in zip(reps, u_axes)])[:-1]
+    ends = np.cumsum([len(rep) * u.size for rep, u in zip(reps, u_axes)])[:-1]
     tables = []
     for t, (i, rep, u) in enumerate(zip(np.split(inverse, ends), reps, u_axes)):
-        F = S[i].reshape(rep.size, u.size, P + 1)
+        F = S[i].reshape(len(rep), u.size, P + 1)
         phase = np.exp(-1j * np.multiply.outer(mesh.a[rep, t], u))
         # phase times row in this order: swapping the factors of a complex
         # product can change its last bit
@@ -487,12 +486,13 @@ class TransformPlan:
     """Per-axis factor tables of the coefficient formula.
 
     Attributes:
-        mesh, rule, table, waves: the inputs the plan was built for.
+        mesh, waves: the mesh and the wave set the plan was built for.
         factors: per axis t, the folded (I_t, rows_t, P+1) float64 table of
-            ``_factor_tables`` over its I_t distinct intervals and the
-            distinct |q_t| of ``waves``: rows Re F_t, then Im F_t where
-            |q_t| > 0; the value at q_t is Re + i sign(q_t) Im.
-            ``waves.axis_folds`` maps each distinct q_t to its rows.
+            ``_factor_tables`` over its I_t distinct intervals, each read
+            from the first element that has it, and the distinct |q_t| of
+            ``waves``: rows Re F_t, then Im F_t where |q_t| > 0; the value
+            at q_t is Re + i sign(q_t) Im. ``waves.axis_folds`` maps each
+            distinct q_t to its rows.
         weight: |det h_k| / pi^d per element, shape (K,).
         groups: ``_Groups.of_mesh``: ``index[k, t]`` is element k's table
             on axis t, and the elements grouped by it on axes 1..d-1 serve
@@ -506,21 +506,14 @@ class TransformPlan:
             raise ValueError("rule/table degree does not match mesh degree")
         if waves.d != mesh.d:
             raise ValueError("wave set dimension does not match mesh")
-        self.mesh, self.rule, self.table, self.waves = mesh, rule, table, waves
+        self.mesh, self.waves = mesh, waves
         self.groups = _Groups.of_mesh(mesh)
+        reps = [np.unique(col, return_index=True)[1] for col in self.groups.index.T]
         self.factors, self.n_bessel_args = _factor_tables(
-            mesh, self.groups.index, [u for u, *_ in waves.axis_folds], table)
+            mesh, reps, [u for u, *_ in waves.axis_folds], table)
         self.weight = np.prod(np.abs(mesh.h), axis=1) / math.pi ** mesh.d
         for a in self.factors + (self.weight,):
             a.setflags(write=False)
-
-
-def _coefficient(plan: TransformPlan, m, k, j) -> complex:
-    """weight[k] prod_t F_t[index[k, t], q_t, j_t] of ``plan`` at the wave
-    with distinct-value indices m, multiplied in axis order after weight."""
-    tables = zip(plan.factors, plan.waves.axis_folds, m, plan.groups.index[k], j)
-    return complex(math.prod([_table_row(F, fold, mt, i)[jt] for F, fold, mt, i, jt in tables],
-                             start=complex(plan.weight[k])))
 
 
 def build_plan(mesh: Mesh, rule: GllRule, table: LegendreCoeffTable,
@@ -538,11 +531,12 @@ def phi_hat(mesh: Mesh, k: int, j, q) -> complex:
         j: node multi-index (j_1, .., j_d), or an int in 1D.
         q: integer wavevector of matching dimension.
 
-    Reads element k's entries of a plan built for the one wave q through
-    the plan's product, ``_coefficient``, so values agree bitwise with
-    every plan's tables. A q that ``WaveSet.from_list`` rejects, or a k or
-    j_t that is not an integer (bools included), raises ValueError; an
-    index out of range raises IndexError.
+    Reads the tables of element k's own intervals at the one wave q, built
+    as a plan builds them, through ``_wave_rows``, the reader of
+    ``compensated=True``, so values agree bitwise with it on every plan. A
+    q that ``WaveSet.from_list`` rejects, or a k or j_t that is not an
+    integer (bools included), raises ValueError; an index out of range
+    raises IndexError.
     """
     d = mesh.d
     j_tup = (j,) if np.isscalar(j) else tuple(j)
@@ -553,9 +547,13 @@ def phi_hat(mesh: Mesh, k: int, j, q) -> complex:
         raise ValueError(f"element index {k!r} or node index {j_tup} is not an integer")
     if not (0 <= k < mesh.K and all(0 <= jt <= mesh.P for jt in j_tup)):
         raise IndexError("element or node index out of range")
-    rule = gll_rule(mesh.P)
-    plan = TransformPlan(mesh, rule, legendre_coeffs(rule), WaveSet.from_list([q_tup]))
-    return _coefficient(plan, [0] * d, k, j_tup)
+    folds = WaveSet.from_list([q_tup]).axis_folds
+    factors, _ = _factor_tables(mesh, [[k]] * d, [u for u, *_ in folds],
+                                legendre_coeffs(gll_rule(mesh.P)))
+    weight = np.prod(np.abs(mesh.h[[k]]), axis=1) / math.pi ** d
+    flat = sum(jt * (mesh.P + 1) ** t for t, jt in enumerate(j_tup))
+    return complex(_wave_rows(factors, folds, weight, np.zeros((1, d), int),
+                              [0] * d, [0])[0, flat])
 
 
 def transform(field: NodalField, plan: TransformPlan,

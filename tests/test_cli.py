@@ -1,5 +1,6 @@
 """Command-line interface: schemas, library agreement, determinism."""
 
+import inspect
 import json
 import math
 import os
@@ -284,6 +285,11 @@ def _converge(*sizes):
                              "--out", tmp_path / "profile.csv"]
 
 
+def _sample_expr(text):
+    return lambda tmp_path: ["field", "sample", "--mesh", tmp_path / "mesh.json",
+                             f"--expr={text}", "--out", tmp_path / "x.bin"]
+
+
 def _decay_component(c):
     return lambda tmp_path: ["decay", "--spectrum", tmp_path / "spec.csv",
                              "--direction", "shell-max", "--component", c,
@@ -329,12 +335,19 @@ def _decay_component(c):
     (lambda tmp_path: ["mesh", "refine", "--in", tmp_path / "mesh.json", "--tol", "nan",
                        "--field", tmp_path / "field.json", "--out", tmp_path / "x.bin"],
      "refinement tolerance is NaN"),
+    # nested past the recursion limit when built, when parsed, and past the
+    # parser's own stack, which CPython reports as MemoryError
+    (_sample_expr("+".join(["x"] * 1200)), "--expr is nested too deeply"),
+    (_sample_expr("+".join(["x"] * 5000)), "--expr is nested too deeply"),
+    (_sample_expr("-" * 5000 + "x"), "--expr is nested too deeply"),
+    (_sample_expr("x" + "**x" * 3000), "--expr is nested too deeply"),
 ], ids=["component-5", "component-minus-1", "short-csv-row", "json-list", "json-no-P",
         "json-bool-K", "json-float-components", "legendre_x", "sample-no-source",
         "qlist-past-int64", "qlist-empty", "qlist-comments-only", "converge-Kmax-0",
         "converge-Pmax-negative", "json-zero-components", "bin-zero-components",
         "csv-no-component-column", "csv-no-im-column", "decay-direction-2d",
-        "sample-case-and-expr", "mesh-uniform-d-0", "mesh-refine-tol-nan"])
+        "sample-case-and-expr", "mesh-uniform-d-0", "mesh-refine-tol-nan", "expr-sum-1200",
+        "expr-sum-5000", "expr-minus-5000", "expr-power-3000"])
 def test_bad_inputs_exit_1_with_one_error_line(tmp_path, argv, message):
     mesh = uniform_mesh(1, 4, 3)
     save_mesh(mesh, tmp_path / "mesh.json")
@@ -451,6 +464,29 @@ def test_expr_evaluates_like_numpy():
     expect = np.sin(x + 2 * y) * np.exp(-z ** 2 % 3) - +x / np.pi + np.sqrt(np.abs(z)) - np.e
     np.testing.assert_allclose(func(X)[:, 0], expect, rtol=1e-15, atol=1e-15)
     np.testing.assert_array_equal(func(X)[:, 1], 2.0)
+
+
+def test_expr_too_deep_to_evaluate_raises_value_error():
+    # a sum that builds at the default limit but overflows a lower one
+    # when evaluated
+    func = _expr_sampler(["+".join(["x"] * 300)], 1)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 100)
+    try:
+        with pytest.raises(ValueError, match="--expr is nested too deeply"):
+            func(np.zeros((3, 1)))
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_cli_long_expr_sum_samples(tmp_path):
+    mesh = uniform_mesh(1, 2, 2)
+    save_mesh(mesh, tmp_path / "mesh.json")
+    run_cli("field", "sample", "--mesh", tmp_path / "mesh.json",
+            "--expr=" + "+".join(["x"] * 150), "--out", tmp_path / "x.bin")
+    expect = sample_field(mesh, gll_rule(2), lambda X: 150 * X[:, 0])
+    np.testing.assert_allclose(read_field(tmp_path / "x.bin", mesh).values, expect.values,
+                               rtol=1e-13, atol=1e-13)
 
 
 def test_cli_unsafe_expr_exits_1(tmp_path):

@@ -4,6 +4,7 @@ import importlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 import types
@@ -80,3 +81,37 @@ def test_benchmark_workloads_run_and_pass_their_checks(tmp_path):
     session = workloads.CliPipeline(1, str(tmp_path), dict(os.environ))
     session.prepare_checks()
     assert session.check(0, session.traced_job(0)) is None
+
+
+def _readme_python_blocks():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md")) as fh:
+        text = fh.read()
+    return root, re.findall(r"^```python\n(.*?)^```", text, re.M | re.S)
+
+
+def test_readme_python_blocks_run_and_print_what_they_say(tmp_path):
+    # each block in a fresh interpreter from another directory; the n-th
+    # line with print( prints the n-th output line, and its "# ->" comment
+    # is that line exactly, or, after "~", a complex value to 1e-5
+    root, blocks = _readme_python_blocks()
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    checked = 0
+    for block in blocks:
+        proc = subprocess.run([sys.executable, "-c", block], cwd=tmp_path, env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        prints = [line for line in block.splitlines() if line.startswith("print(")]
+        out = proc.stdout.splitlines()
+        assert len(out) == len(prints)
+        for line, got in zip(prints, out):
+            if "# -> " not in line:
+                continue
+            expect = line.split("# -> ", 1)[1].strip()
+            if expect.startswith("[~"):
+                value = complex(got.strip("[]").replace(" ", ""))
+                assert abs(value - complex(expect[2:-1].replace(" ", ""))) <= 1e-5, got
+            else:
+                assert got == expect
+            checked += 1
+    assert checked == 3

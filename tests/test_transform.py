@@ -1,6 +1,7 @@
 """Exact transform: algebraic identities, symmetries, and a quadrature oracle."""
 
 import cmath
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -20,8 +21,8 @@ from semfourier.mesh import (
 from semfourier.transform import (
     Spectrum,
     WaveSet,
-    _coefficient,
     _table_row,
+    _wave_rows,
     build_plan,
     ipow_neg,
     phi_hat,
@@ -93,20 +94,30 @@ def test_ipow_neg_cycles():
     assert ipow_neg(7)[4] == 1
 
 
+def _float_copy(mesh):
+    return Mesh(mesh.d, mesh.P, mesh.a, mesh.h)
+
+
+def _int64_overflow_mesh():
+    # L = 2^60 fits int64, but q H reaches 2^63 for |q| >= 16
+    b = Fraction(1, 2 ** 59)
+    return Mesh.from_pi(1, 3, [[(b - 1) / 2], [(b + 1) / 2]], [[(b + 1) / 2], [(1 - b) / 2]])
+
+
 def test_plan_and_phi_hat_agree_bitwise():
-    mesh = refine(uniform_mesh(2, 2, 3), [0])
-    rule = gll_rule(3)
-    table = legendre_coeffs(rule)
-    waves = WaveSet.box(2, 2)
-    plan = build_plan(mesh, rule, table, waves)
-    rng = np.random.default_rng(17)
-    for _ in range(40):
-        qi = rng.integers(len(waves))
-        k = rng.integers(mesh.K)
-        j1, j2 = rng.integers(4, size=2)
-        a = _coefficient(plan, waves.axis_index[1][qi], int(k), (int(j1), int(j2)))
-        b = phi_hat(mesh, int(k), (int(j1), int(j2)), waves.qs[qi])
-        assert a == b  # identical arithmetic, not merely close
+    # phi_hat builds element k's tables alone, so on the overflow meshes its
+    # choice of Python-int Bessel keys can differ from the plan's
+    for mesh, qmax in [(refine(uniform_mesh(2, 2, 3), [0]), 2), (_int64_overflow_mesh(), 40),
+                       (_float_copy(_int64_overflow_mesh()), 40)]:
+        plan = _plan_for(mesh, qmax=qmax)
+        waves, n = plan.waves, mesh.P + 1
+        for qi, m in enumerate(waves.axis_index[1]):
+            for k in range(mesh.K):
+                row = _wave_rows(plan.factors, waves.axis_folds, plan.weight, plan.groups.index,
+                                 m, [k])[0]
+                for j in itertools.product(range(n), repeat=mesh.d):
+                    flat = sum(jt * n ** t for t, jt in enumerate(j))  # axis 1 fastest
+                    assert row[flat] == phi_hat(mesh, k, j, waves.qs[qi])  # bits, not closeness
 
 
 def test_plan_memo_shares_bessel_arguments():
@@ -220,6 +231,24 @@ def test_phi_hat_rejects_non_integer_inputs():
     # numpy integers are integers
     assert phi_hat(mesh, np.int64(1), (np.int32(2), 0), (np.int64(-3), 1)) == \
         phi_hat(mesh, 1, (2, 0), (-3, 1))
+
+
+def test_phi_hat_evaluates_only_its_own_elements_bessel_columns(monkeypatch):
+    # a graded mesh of 21 elements with 20 distinct half-legs: one call
+    # needs element k's own arguments, at most one per axis
+    mesh = uniform_mesh(1, 1, 3)
+    for _ in range(20):
+        mesh = refine(mesh, [0])
+    assert len(np.unique(mesh.H)) == 20
+    calls = []
+
+    def counted(r, P):
+        calls.append(r)
+        return bessel_column(r, P)
+
+    monkeypatch.setattr("semfourier.transform.bessel_column", counted)
+    phi_hat(mesh, mesh.K - 1, 1, 3)
+    assert 0 < len(calls) <= mesh.d
 
 
 def test_matches_quadrature_oracle_1d_nonuniform():
@@ -377,16 +406,6 @@ def _axis_table_oracle(mesh, t, q_axis, table):
     return out
 
 
-def _float_copy(mesh):
-    return Mesh(mesh.d, mesh.P, mesh.a, mesh.h)
-
-
-def _int64_overflow_mesh():
-    # L = 2^60 fits int64, but q H reaches 2^63 for |q| >= 16
-    b = Fraction(1, 2 ** 59)
-    return Mesh.from_pi(1, 3, [[(b - 1) / 2], [(b + 1) / 2]], [[(b + 1) / 2], [(1 - b) / 2]])
-
-
 @pytest.mark.parametrize("mesh,qmax", [
     (refine(uniform_mesh(2, 4, 3), [1, 6, 11]), 3),
     (refine(uniform_mesh(3, 2, 2), [0, 7]), 2),
@@ -396,7 +415,7 @@ def _int64_overflow_mesh():
 def test_plan_tables_match_per_element_loop_bitwise(mesh, qmax):
     plan = _plan_for(mesh, qmax=qmax)
     for t, q_axis in enumerate(plan.waves.axis_index[0]):
-        expect = _axis_table_oracle(mesh, t, q_axis.tolist(), plan.table)
+        expect = _axis_table_oracle(mesh, t, q_axis.tolist(), legendre_coeffs(gll_rule(mesh.P)))
         # the complex table read back from the folded one, per element
         rows = plan.groups.index[:, t]
         got = np.stack([_table_row(plan.factors[t], plan.waves.axis_folds[t], m, rows)

@@ -140,8 +140,9 @@ def test_compensated_sum_and_phi_hat_agree_with_plan(case):
     for _ in range(5):
         qi, k = int(rng.integers(len(waves))), int(rng.integers(mesh.K))
         j = [int(v) for v in rng.integers(n, size=mesh.d)]
-        got = T._coefficient(plan, waves.axis_index[1][qi], k, j)
-        assert got == phi_hat(mesh, k, j, waves.qs[qi])
+        row = T._wave_rows(plan.factors, waves.axis_folds, plan.weight, plan.groups.index,
+                           waves.axis_index[1][qi], [k])[0]
+        assert row[sum(jt * n ** t for t, jt in enumerate(j))] == phi_hat(mesh, k, j, waves.qs[qi])
 
 
 @_SETTINGS
