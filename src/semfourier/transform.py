@@ -33,7 +33,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import chain, product
+from operator import itemgetter
 from numbers import Integral
 
 import numpy as np
@@ -60,8 +61,9 @@ __all__ = [
 @dataclass(frozen=True)
 class WaveSet:
     """An ordered set of distinct integer wavevectors in Z^d, each
-    component below 2^63 in magnitude. Lookups, axis indices and CSV row
-    templates are built on first use and kept; == and hash use d and qs."""
+    component below 2^63 in magnitude. Lookups, axis indices, the CSV row
+    order with each row's -q row, and CSV row templates are built on first
+    use and kept; == and hash use d and qs."""
 
     d: int
     qs: tuple[tuple[int, ...], ...]
@@ -117,8 +119,7 @@ class WaveSet:
     def axis_index(self) -> tuple[list[np.ndarray], np.ndarray]:
         """(values, m): values[t] holds the distinct q_t in ascending order
         and values[t][m[i, t]] == qs[i][t]; m has shape (len, d)."""
-        q = np.array(self.qs, dtype=np.int64).reshape(len(self.qs), self.d)
-        cols = [np.unique(q[:, t], return_inverse=True) for t in range(self.d)]
+        cols = [np.unique(self._array[:, t], return_inverse=True) for t in range(self.d)]
         return [v for v, _ in cols], np.stack([m for _, m in cols], axis=1)
 
     @cached_property
@@ -127,9 +128,32 @@ class WaveSet:
         return [_fold(v) for v in self.axis_index[0]]
 
     @cached_property
-    def _csv(self) -> tuple[np.ndarray, dict]:
-        """Lexicographic row order of the CSV and its templates by (C, tail)."""
-        return np.array(sorted(range(len(self.qs)), key=self.qs.__getitem__), dtype=np.intp), {}
+    def _array(self) -> np.ndarray:
+        """The waves as int64, shape (len, d)."""
+        n = len(self.qs)
+        return np.fromiter(chain.from_iterable(self.qs), np.int64, n * self.d).reshape(n, self.d)
+
+    @cached_property
+    def _csv(self) -> tuple[np.ndarray, np.ndarray, dict]:
+        """(order, neg, templates): the CSV's rows, ``qs[order[r]]`` being
+        row r's wave in lexicographic order; ``neg[r]``, the row of -q for
+        row r's q, or -1 if -q is not in the set; and the row templates,
+        kept by (C, tail, cells).
+
+        One stable lexsort of the waves, then their negatives (exact in
+        int64), gives both: where q_i = -q_j, q_i sorts right before -q_j.
+        """
+        n, q = len(self.qs), self._array
+        both = np.concatenate([q, -q])
+        idx = np.lexsort(both.T[::-1])
+        order = idx[idx < n]
+        row = np.empty(n, dtype=np.intp)
+        row[order] = np.arange(n)
+        both = both[idx]
+        k = np.flatnonzero(np.all(both[1:] == both[:-1], axis=1))
+        neg = np.full(n, -1, dtype=np.intp)
+        neg[row[idx[k + 1] - n]] = row[idx[k]]
+        return order, neg, {}
 
 
 def _fold(q: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -183,17 +207,16 @@ class Spectrum:
 
     def conjugate_symmetry_error(self) -> float:
         """Max |u_hat(-q) - conj(u_hat(q))| over pairs present in the set,
-        each -q looked up in the wave set's index; 0.0 if there is none.
+        each -q read from the wave set's kept -q rows; 0.0 if there is none.
 
         Exactly 0 for spectra of real fields from ``transform``, with or
         without ``compensated=True``: both read F(-q) as the exact conj
         F(q) of the folded tables, and the arithmetic of -q is that of q
         with the sign of every imaginary part flipped.
         """
-        index = self.waves._positions
-        j = np.array([index.get(tuple(-c for c in q), -1) for q in self.waves.qs], dtype=int)
-        i = np.flatnonzero(j >= 0)
-        gap = np.abs(self.values[j[i]] - np.conj(self.values[i]))
+        order, neg, _ = self.waves._csv
+        r = np.flatnonzero(neg >= 0)
+        gap = np.abs(self.values[order[neg[r]]] - np.conj(self.values[order[r]]))
         return float(np.max(gap, initial=0.0))
 
 
@@ -598,14 +621,26 @@ def rms_relative_error(spectrum: Spectrum, exact: Spectrum) -> float:
 
 # ------------------------------------------------------------------ CSV --
 
+_SIGN_BIT = np.uint64(1 << 63)
+
+
 def spectrum_csv_text(spectrum: Spectrum, extra_col=None) -> str:
     """CSV text with columns q1..qd, component, re, im, abs.
 
     Rows are sorted lexicographically by wavevector then component and
     floats carry 17 significant digits, so equal spectra produce byte-equal
-    text. The row order and a ``%``-template with the integer columns as
-    text (about 40% of the text's size) are built once per (C, extra
-    column) and kept on the wave set, so a call formats only floats.
+    text. A row of -q whose (re, im) is the exact conjugate of the same
+    component's row of q earlier in the text (re bits equal, im bits equal
+    but for the sign bit, im not NaN) reuses that row's re and abs strings
+    and toggles the leading '-' of its im string. This gives the bytes of
+    its own formatting: '%.17g' % -x == '-' + '%.17g' % x for every x but
+    NaN, which prints without its sign, and hypot(re, -im) == hypot(re,
+    im). Spectra of real fields are such, so about half their floats are
+    formatted; where no more than a third of the rows can reuse, every
+    float is formatted. The row order and each row's -q row are built
+    once per wave set, a ``%``-template with the integer columns as text
+    once per wave set, component count, extra column and kind of float
+    cells; all are kept on the wave set.
     ``abs`` comes from one array ``np.hypot``, which calls the same C
     ``hypot`` as Python's ``abs(complex)`` and so gives the same bits (inf
     where the magnitude overflows); ``np.abs`` rounds some values
@@ -615,17 +650,61 @@ def spectrum_csv_text(spectrum: Spectrum, extra_col=None) -> str:
     header = [f"q{t + 1}" for t in range(waves.d)] + ["component", "re", "im", "abs"]
     if extra_col is not None:
         header.append(extra_col[0])
+    head = ",".join(header) + "\n"
     tail = "" if extra_col is None else "," + str(extra_col[1]).replace("%", "%%")
-    order, templates = waves._csv
-    if (C, tail) not in templates:
-        rows = ["%d," * waves.d % waves.qs[i] for i in order.tolist()]
-        templates[C, tail] = "".join(f"{q}{c},%.17g,%.17g,%.17g{tail}\n"
-                                     for q in rows for c in range(C))
+    order, neg, _ = waves._csv
     values = spectrum.values[order]
     with np.errstate(over="ignore"):
         mags = np.hypot(values.real, values.imag)
-    floats = np.stack([values.real, values.imag, mags], axis=2).ravel().tolist()
-    return ",".join(header) + "\n" + templates[C, tail] % tuple(floats)
+    floats = np.stack([values.real, values.imag, mags], axis=2).reshape(-1, 3)
+    reuse, src = _conjugate_lines(values, neg)
+    if not len(reuse):
+        return head + _csv_template(waves, C, tail, "%.17g,%.17g,%.17g") % tuple(
+            floats.ravel().tolist())
+    keep = np.ones(len(floats), dtype=bool)
+    keep[reuse] = False
+    rank = np.cumsum(keep) - 1
+    # Each kept line gives its re string, then its "im,abs" string, which
+    # starts with '-' exactly where im does, as abs never does.
+    pieces = ("%.17g\n%.17g,%.17g\n" * (len(floats) - len(reuse))
+              % tuple(floats[keep].ravel().tolist())).split("\n")
+    pick = 2 * rank[:, None] + np.arange(2)
+    flip = pick[src, 1].tolist()
+    pick[reuse] = np.stack([pick[src, 0], len(pieces) + np.arange(len(reuse))], axis=1)
+    pieces += [s[1:] if s[0] == "-" else "-" + s for s in map(pieces.__getitem__, flip)]
+    return head + _csv_template(waves, C, tail, "%s,%s") % itemgetter(
+        *pick.ravel().tolist())(pieces)
+
+
+def _conjugate_lines(values: np.ndarray, neg: np.ndarray):
+    """(lines, sources): the CSV lines (row r, component c), numbered
+    r * C + c, whose (re, im) are the exact conjugate of line (neg[r], c),
+    neg[r] < r, and those lines; none where they would be no more than a
+    third of all lines. Passing a line's strings through costs about one
+    float's formatting and a reused line spares three."""
+    n, C = values.shape
+    r = np.flatnonzero((neg >= 0) & (neg < np.arange(n)))
+    if 3 * len(r) <= n:
+        return r[:0], r[:0]
+    re, im = (np.asarray(x, dtype=float).view(np.uint64) for x in (values.real, values.imag))
+    same = ((re[r] == re[neg[r]]) & (im[r] == im[neg[r]] ^ _SIGN_BIT)
+            & ~np.isnan(values.imag[r]))
+    if 3 * np.count_nonzero(same) <= n * C:
+        return r[:0], r[:0]
+    lines = np.arange(n * C).reshape(n, C)
+    return lines[r][same], lines[neg[r]][same]
+
+
+def _csv_template(waves: WaveSet, C: int, tail: str, cells: str) -> str:
+    """The ``%``-template of all rows with ``cells`` for each row's floats,
+    built by one ``%d`` fill of the integer columns and kept on the wave set."""
+    order, _, templates = waves._csv
+    if (C, tail, cells) not in templates:
+        line = "".join("%d," * waves.d + f"{c},{cells}{tail}\n".replace("%", "%%")
+                       for c in range(C))
+        templates[C, tail, cells] = line * len(order) % tuple(
+            np.tile(waves._array[order], C).ravel().tolist())
+    return templates[C, tail, cells]
 
 
 def write_spectrum_csv(spectrum: Spectrum, path, extra_col=None) -> None:

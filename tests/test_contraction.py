@@ -440,6 +440,85 @@ def test_kept_csv_templates_match_per_row_loop(data):
     assert hash(waves) == hash(twin) == hash(WaveSet(d, qs))
 
 
+_HUGE = 2 ** 63 - 1
+
+
+@st.composite
+def _wave_sets(draw):
+    """Boxes, and lists with some or all of their -q partners, d = 1..3;
+    lists may hold components next to the int64 limit."""
+    d = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        return WaveSet.box(d, draw(st.integers(0, 3)))
+    coord = st.one_of(st.integers(-4, 4), st.sampled_from([-_HUGE, -2 ** 62, 2 ** 62, _HUGE]))
+    qs = draw(st.lists(st.tuples(*[coord] * d), max_size=24, unique=True))
+    partners = [tuple(-c for c in q) for q in qs]
+    keep = draw(st.lists(st.booleans(), min_size=len(qs), max_size=len(qs)))
+    return WaveSet(d, tuple(dict.fromkeys(qs + [p for p, k in zip(partners, keep) if k])))
+
+
+def _break_pair(values, i, j, c, how):
+    """Make line (i, c) miss being the exact conjugate of line (j, c), or,
+    for "inf", keep it exact with infinite parts."""
+    z = values[j, c]
+    if how == "ulp":
+        values[i, c] = complex(np.nextafter(z.real, np.inf), -z.imag)
+    elif how == "zero":
+        values[j, c], values[i, c] = complex(z.real, -0.0), complex(z.real, -0.0)
+    elif how == "nan":
+        nan = np.float64(np.nan)
+        values[j, c] = complex(z.real, nan)
+        values[i, c] = complex(z.real, -nan)
+    elif how == "inf":  # still exact: the strings "-inf" and "inf" swap
+        values[j, c], values[i, c] = complex(np.inf, -np.inf), complex(np.inf, np.inf)
+    else:
+        values[j, c], values[i, c] = complex(np.inf, -np.inf), complex(-np.inf, np.inf)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_wave_sets(), st.data())
+def test_conjugate_rows_reuse_matches_per_row_loop(waves, data):
+    """Conjugate-symmetric wild values with a few pairs broken: the text
+    is that of the per-row loop, and the kept row order and -q rows are
+    those of sorted tuples and the set's dict."""
+    n = len(waves)
+    order, neg, _ = waves._csv
+    assert order.tolist() == sorted(range(n), key=waves.qs.__getitem__)
+    assert [order[p] if p >= 0 else -1 for p in neg.tolist()] == [
+        waves._positions.get(tuple(-c for c in waves.qs[i]), -1) for i in order.tolist()]
+    C = data.draw(st.integers(1, 3))
+    extra_col = data.draw(st.sampled_from([None, ("M", 64), ("tag", "5%"), ("pct", "%d%%s")]))
+    values = _wild_values(np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))), (n, C))
+    late = [(order[r], order[p]) for r, p in enumerate(neg.tolist()) if 0 <= p < r]
+    for i, j in late:
+        values[i] = np.conj(values[j])
+    for i, j in data.draw(st.lists(st.sampled_from(late), max_size=4)) if late else []:
+        _break_pair(values, i, j, data.draw(st.integers(0, C - 1)),
+                    data.draw(st.sampled_from(["ulp", "zero", "nan", "inf", "-inf"])))
+    spec = Spectrum(waves, values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        expect = _csv_oracle(spec, extra_col)
+    assert spectrum_csv_text(spec, extra_col) == expect
+
+
+def test_real_field_csv_on_hanging_node_mesh_matches_per_row_loop():
+    """A real field's rows of -q reuse their conjugates' strings, so only
+    the string-cell template is built; a complex field's keep the float
+    cells of the per-row loop."""
+    mesh = refine(uniform_mesh(3, 2, 3), [0, 5])
+    waves = WaveSet.box(3, 3)
+    plan = _plan(mesh, waves)
+    real = transform(_field(mesh, 2, 97), plan)
+    assert real.conjugate_symmetry_error() == 0.0
+    for extra_col in (None, ("M", 64)):
+        assert spectrum_csv_text(real, extra_col) == _csv_oracle(real, extra_col)
+    assert {cells for _, _, cells in waves._csv[2]} == {"%s,%s"}
+    values = _field(mesh, 2, 101).values
+    cplx = transform(NodalField(mesh, values + 1j * values[..., ::-1]), plan)
+    assert spectrum_csv_text(cplx) == _csv_oracle(cplx)
+    assert (2, "", "%.17g,%.17g,%.17g") in waves._csv[2]
+
+
 def _symmetry_oracle(spectrum):
     """The per-wave loop over the set's dict."""
     worst = 0.0
