@@ -636,11 +636,11 @@ def spectrum_csv_text(spectrum: Spectrum, extra_col=None) -> str:
     its own formatting: '%.17g' % -x == '-' + '%.17g' % x for every x but
     NaN, which prints without its sign, and hypot(re, -im) == hypot(re,
     im). Spectra of real fields are such, so about half their floats are
-    formatted; where no more than a third of the rows can reuse, every
-    float is formatted. The row order and each row's -q row are built
-    once per wave set, a ``%``-template with the integer columns as text
-    once per wave set, component count, extra column and kind of float
-    cells; all are kept on the wave set.
+    formatted; where no line can reuse, such as in spectra of complex
+    fields, every float is formatted. The row order and each row's -q row
+    are built once per wave set, a ``%``-template with the integer columns
+    as text once per wave set, component count, extra column and kind of
+    float cells; all are kept on the wave set.
     ``abs`` comes from one array ``np.hypot``, which calls the same C
     ``hypot`` as Python's ``abs(complex)`` and so gives the same bits (inf
     where the magnitude overflows); ``np.abs`` rounds some values
@@ -679,18 +679,14 @@ def spectrum_csv_text(spectrum: Spectrum, extra_col=None) -> str:
 def _conjugate_lines(values: np.ndarray, neg: np.ndarray):
     """(lines, sources): the CSV lines (row r, component c), numbered
     r * C + c, whose (re, im) are the exact conjugate of line (neg[r], c),
-    neg[r] < r, and those lines; none where they would be no more than a
-    third of all lines. Passing a line's strings through costs about one
-    float's formatting and a reused line spares three."""
+    neg[r] < r, and those lines."""
     n, C = values.shape
     r = np.flatnonzero((neg >= 0) & (neg < np.arange(n)))
-    if 3 * len(r) <= n:
-        return r[:0], r[:0]
+    if not len(r):
+        return r, r
     re, im = (np.asarray(x, dtype=float).view(np.uint64) for x in (values.real, values.imag))
     same = ((re[r] == re[neg[r]]) & (im[r] == im[neg[r]] ^ _SIGN_BIT)
             & ~np.isnan(values.imag[r]))
-    if 3 * np.count_nonzero(same) <= n * C:
-        return r[:0], r[:0]
     lines = np.arange(n * C).reshape(n, C)
     return lines[r][same], lines[neg[r]][same]
 
